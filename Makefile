@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 BENCHOUT ?=
-FUZZPKGS ?= ./internal/dynet ./internal/faults ./internal/advsearch
+FUZZPKGS ?= ./internal/dynet ./internal/faults ./internal/advsearch ./internal/bitio
 
 .PHONY: build test race lint fuzz bench chaos ci
 

@@ -186,3 +186,25 @@ func BenchmarkReadUvarint(b *testing.B) {
 		}
 	}
 }
+
+func TestReadsDoNotAllocate(t *testing.T) {
+	var w Writer
+	w.WriteUvarint(123456789)
+	w.WriteUint(0xABCDE, 37)
+	buf, n := w.Bytes(), w.Len()
+	avg := testing.AllocsPerRun(100, func() {
+		r := Reader{buf: buf, nbit: n}
+		if _, err := r.ReadUvarint(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.ReadUint(37); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.ReadUint(65); err == nil {
+			t.Fatal("ReadUint(65) succeeded")
+		}
+	})
+	if avg != 0 {
+		t.Errorf("reads allocate %v per run, want 0", avg)
+	}
+}

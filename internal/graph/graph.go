@@ -6,9 +6,9 @@
 // engine builds or edits a Graph every round, and the reduction harness
 // copies per-round topologies for three different adversaries. Adjacency is
 // stored as sorted []int32 neighbor slices (a CSR-style layout once a graph
-// is cloned or copied into an arena), so neighbor iteration is a cache-
-// friendly linear scan in deterministic ascending order and Clone is a flat
-// memcpy instead of n map clones.
+// is cloned, copied or bulk-built into an arena), so neighbor iteration is a
+// cache-friendly linear scan in deterministic ascending order and Clone is a
+// flat memcpy instead of n map clones.
 package graph
 
 // Graph is an undirected graph over vertices 0..N-1 with sorted adjacency

@@ -31,7 +31,7 @@ package counting
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"dyndiam/internal/bitio"
 	"dyndiam/internal/rng"
@@ -57,6 +57,7 @@ func KFor(n int) int {
 type Sketch struct {
 	k    int
 	mins map[int64][]float32
+	vals []int64 // the keys of mins, sorted ascending
 }
 
 // NewSketch returns an empty sketch with k copies.
@@ -71,7 +72,8 @@ func NewSketch(k int) *Sketch {
 // K returns the number of copies.
 func (s *Sketch) K() int { return s.k }
 
-// row returns (creating if needed) the minima row for a value.
+// row returns (creating if needed) the minima row for a value. A new value
+// is inserted into vals at its sorted position.
 func (s *Sketch) row(value int64) []float32 {
 	row, ok := s.mins[value]
 	if !ok {
@@ -80,6 +82,8 @@ func (s *Sketch) row(value int64) []float32 {
 			row[i] = float32(math.Inf(1))
 		}
 		s.mins[value] = row
+		i, _ := slices.BinarySearch(s.vals, value)
+		s.vals = slices.Insert(s.vals, i, value)
 	}
 	return row
 }
@@ -109,14 +113,10 @@ func (s *Sketch) Merge(value int64, copy int, min float32) {
 	}
 }
 
-// Values returns the values present in the sketch, sorted.
+// Values returns the values present in the sketch, sorted. The slice is a
+// copy the caller may modify.
 func (s *Sketch) Values() []int64 {
-	out := make([]int64, 0, len(s.mins))
-	for v := range s.mins { //lint:allow puritytaint iteration order cannot leak: values are sorted below
-		out = append(out, v) //lint:allow maporder collected values are sorted on the next line
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return append(make([]int64, 0, len(s.vals)), s.vals...)
 }
 
 // Estimate returns the count estimate (k-1)/sum of minima for the value.
@@ -168,13 +168,15 @@ func DecodeRecord(rd *bitio.Reader) (value int64, copy int, min float32, err err
 // PickRecord selects a record to gossip this round: a uniformly random
 // (value, copy) cell of the sketch. With a single value in the system all
 // bandwidth serves it (the completeness case of the majority test); with
-// many values bandwidth dilutes, which only under-counts.
+// many values bandwidth dilutes, which only under-counts. It does not
+// allocate.
+//
+//lint:hotpath
 func (s *Sketch) PickRecord(src *rng.Source) (value int64, copy int, min float32, ok bool) {
-	vals := s.Values()
-	if len(vals) == 0 {
+	if len(s.vals) == 0 {
 		return 0, 0, 0, false
 	}
-	value = vals[src.Intn(len(vals))]
+	value = s.vals[src.Intn(len(s.vals))]
 	copy = src.Intn(s.k)
 	min = s.mins[value][copy]
 	if math.IsInf(float64(min), 1) {

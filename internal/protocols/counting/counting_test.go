@@ -2,6 +2,7 @@ package counting
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -290,5 +291,75 @@ func TestSketchValuesSorted(t *testing.T) {
 	}
 	if len(vals) != 4 {
 		t.Fatalf("Values = %v, want 4 distinct", vals)
+	}
+}
+
+func TestSketchValuesIsCopy(t *testing.T) {
+	s := NewSketch(4)
+	if vals := s.Values(); vals == nil || len(vals) != 0 {
+		t.Fatalf("empty sketch Values = %#v, want an empty non-nil slice", vals)
+	}
+	for _, v := range []int64{5, 1, 3} {
+		s.Merge(v, 1, 0.25)
+	}
+	vals := s.Values()
+	vals[0], vals[2] = 99, -1
+	if got := s.Values(); len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 5 {
+		t.Fatalf("Values after caller mutation = %v, want [1 3 5]", got)
+	}
+}
+
+// refPickRecord is PickRecord as a map scan: collect the values, sort
+// them, then make the same two draws.
+func refPickRecord(s *Sketch, src *rng.Source) (int64, int, float32, bool) {
+	vals := make([]int64, 0, len(s.mins))
+	for v := range s.mins {
+		vals = append(vals, v)
+	}
+	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+	if len(vals) == 0 {
+		return 0, 0, 0, false
+	}
+	value := vals[src.Intn(len(vals))]
+	copy := src.Intn(s.k)
+	min := s.mins[value][copy]
+	if math.IsInf(float64(min), 1) {
+		return 0, 0, 0, false
+	}
+	return value, copy, min, true
+}
+
+// TestPickRecordMatchesMapScan pins PickRecord's draws to the map-scan
+// reference on one fixed-seed sequence while values keep arriving in
+// random order, some rows only partly filled.
+func TestPickRecordMatchesMapScan(t *testing.T) {
+	const k = 8
+	s := NewSketch(k)
+	feed := rng.New(3)
+	got, want := rng.New(17), rng.New(17)
+	for i := 0; i < 2000; i++ {
+		if i%5 == 0 {
+			s.Merge(int64(feed.Intn(300))-100, feed.Intn(k), float32(feed.Exp()))
+		}
+		if i%97 == 0 {
+			s.SetOwn(int64(feed.Intn(1000)), uint64(i), feed)
+		}
+		gv, gc, gm, gok := s.PickRecord(got)
+		wv, wc, wm, wok := refPickRecord(s, want)
+		if gv != wv || gc != wc || gm != wm || gok != wok {
+			t.Fatalf("pick %d = (%d, %d, %v, %v), want (%d, %d, %v, %v)", i, gv, gc, gm, gok, wv, wc, wm, wok)
+		}
+	}
+}
+
+func TestPickRecordAllocs(t *testing.T) {
+	s := NewSketch(KFor(64))
+	coins := rng.New(1)
+	for v := int64(0); v < 32; v++ {
+		s.SetOwn(v, uint64(v), coins)
+	}
+	src := rng.New(2)
+	if avg := testing.AllocsPerRun(200, func() { s.PickRecord(src) }); avg != 0 {
+		t.Errorf("PickRecord allocates %v per call, want 0", avg)
 	}
 }

@@ -364,11 +364,12 @@ func (s *Server) runJob(e *entry) {
 		e.status = StatusDone
 		e.body = body
 	}
-	close(e.done)
 	s.mu.Unlock()
 	// The terminal record is written after the status flip so the dumped
-	// metric snapshot reflects the finished job.
+	// metric snapshot reflects the finished job, and before done is closed
+	// so a Wait that returns always finds that snapshot.
 	s.recordTerminal(e, err != nil, sweepSpans)
+	close(e.done)
 }
 
 // execGuarded runs the executor in a guarded goroutine: panics become
