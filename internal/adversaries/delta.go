@@ -13,11 +13,23 @@ import (
 // flood fast path applies it to one mutable CSR snapshot instead of
 // copying the whole graph, so per-round topology cost scales with churn.
 //
-// Edge multiplicity is tracked so overlapping slots (or a slot landing on
-// a tree edge) never emit a premature deletion: a Del op appears only when
-// an edge's multiplicity reaches zero, an Add only when it first becomes
-// positive. The tree contributes a permanent multiplicity, making every
-// round's topology connected unconditionally.
+// An edge is present exactly when it is a tree edge or some slot holds
+// it. Tree membership is an O(1) test against the tree's parent array,
+// computed once at construction; slot multiplicities live in a count
+// table keyed only by edges that some slot holds (at most `extra` keys),
+// and a key leaves the table when its count reaches zero. A rewire emits
+// a Del for the slot's old edge only when neither the tree nor another
+// slot still covers it, then an Add for its new edge only when nothing
+// covered it before, so overlapping slots never emit a premature
+// deletion, and every round's topology contains the tree and is
+// connected unconditionally.
+//
+// Under the Diff pattern the consumer applies each script to its own
+// snapshot, so DeltaChurn does not maintain a graph of its own there:
+// Diff marks the maintained topology stale, and Topology rebuilds it from
+// the tree plus the slots only when it is stale. Under the Topology
+// pattern each round's script is applied to the maintained topology in
+// place.
 //
 // Per-round randomness comes from a round-keyed split of the seed, so two
 // instances built with the same parameters produce identical topology
@@ -28,8 +40,11 @@ type DeltaChurn struct {
 	slots   [][2]int
 	rewires int
 	src     *rng.Source
-	counts  map[int64]int
-	cur     *graph.Graph // maintained current topology
+	parent  []int32          // tree parent of each vertex, -1 at the root
+	counts  map[uint64]int32 // multiplicity of each slot-held edge
+	cur     *graph.Graph     // maintained topology for the Topology pattern
+	stale   bool             // Diff has advanced the slots past cur
+	script  dynet.EdgeDiff   // Topology's per-round script, applied to cur
 }
 
 // NewDeltaChurn builds a delta-encoding churn adversary over n nodes with
@@ -38,31 +53,75 @@ func NewDeltaChurn(n, extra, rewires int, seed uint64) *DeltaChurn {
 	if n < 2 {
 		extra, rewires = 0, 0
 	}
+	extra = max(extra, 0)
 	src := rng.New(seed)
 	tree := graph.RandomConnected(n, 0, src.Split('t'))
 	c := &DeltaChurn{
 		n: n, rewires: rewires, src: src,
-		counts: make(map[int64]int), cur: tree,
-	}
-	for v := 0; v < n; v++ {
-		for _, u := range tree.Adj(v) {
-			if int(u) > v {
-				c.counts[c.key(v, int(u))]++
-			}
-		}
+		slots:  make([][2]int, 0, extra),
+		parent: treeParents(tree),
+		counts: make(map[uint64]int32, extra),
+		cur:    tree,
 	}
 	ssrc := src.Split('s')
 	for i := 0; i < extra; i++ {
 		e := c.randomEdge(ssrc)
 		c.slots = append(c.slots, e)
-		if c.counts[c.key(e[0], e[1])]++; c.counts[c.key(e[0], e[1])] == 1 {
-			c.cur.AddEdge(e[0], e[1])
-		}
+		c.counts[c.key(e)]++
+		c.cur.AddEdge(e[0], e[1])
 	}
 	return c
 }
 
-func (c *DeltaChurn) key(u, v int) int64 { return int64(u)*int64(c.n) + int64(v) }
+// treeParents roots the spanning tree t at vertex 0 and returns each
+// vertex's parent, -1 at the root. In a tree every neighbor of a vertex
+// other than its parent is a child, so the BFS needs no visited set.
+func treeParents(t *graph.Graph) []int32 {
+	parent := make([]int32, t.N())
+	if len(parent) == 0 {
+		return parent
+	}
+	parent[0] = -1
+	queue := make([]int32, 1, len(parent))
+	for i := 0; i < len(queue); i++ {
+		v := queue[i]
+		for _, u := range t.Adj(int(v)) {
+			if u != parent[v] {
+				parent[u] = v
+				queue = append(queue, u)
+			}
+		}
+	}
+	return parent
+}
+
+// key maps a normalized edge (u < v) to its count-table key.
+func (c *DeltaChurn) key(e [2]int) uint64 { return uint64(e[0])*uint64(c.n) + uint64(e[1]) }
+
+// hold adds a slot to edge k's count and returns the new count.
+func (c *DeltaChurn) hold(k uint64) int32 {
+	n := c.counts[k] + 1
+	c.counts[k] = n
+	return n
+}
+
+// release removes a slot from edge k's count, deleting the key when the
+// count reaches zero so the table never outgrows the slots, and returns
+// the new count.
+func (c *DeltaChurn) release(k uint64) int32 {
+	n := c.counts[k] - 1
+	if n == 0 {
+		delete(c.counts, k)
+	} else {
+		c.counts[k] = n
+	}
+	return n
+}
+
+// inTree reports whether the edge is a spanning-tree edge.
+func (c *DeltaChurn) inTree(e [2]int) bool {
+	return c.parent[e[0]] == int32(e[1]) || c.parent[e[1]] == int32(e[0])
+}
 
 // randomEdge samples a uniform non-loop edge, normalized to u < v.
 func (c *DeltaChurn) randomEdge(src *rng.Source) [2]int {
@@ -77,9 +136,9 @@ func (c *DeltaChurn) randomEdge(src *rng.Source) [2]int {
 	}
 }
 
-// advance applies round r's rewires to the maintained topology, appending
-// the resulting edge-op script to d when non-nil. Rounds r <= 1 are the
-// base topology and mutate nothing.
+// advance re-samples round r's rewired slots and appends the resulting
+// edge-op script to d. Rounds r <= 1 are the base topology and change
+// nothing.
 func (c *DeltaChurn) advance(r int, d *dynet.EdgeDiff) {
 	if r <= 1 || len(c.slots) == 0 {
 		return
@@ -89,28 +148,44 @@ func (c *DeltaChurn) advance(r int, d *dynet.EdgeDiff) {
 		si := rsrc.Intn(len(c.slots))
 		old, e := c.slots[si], c.randomEdge(rsrc)
 		c.slots[si] = e
-		if c.counts[c.key(old[0], old[1])]--; c.counts[c.key(old[0], old[1])] == 0 {
-			c.cur.RemoveEdge(old[0], old[1])
-			if d != nil {
-				d.Del(old[0], old[1])
-			}
+		if c.release(c.key(old)) == 0 && !c.inTree(old) {
+			d.Del(old[0], old[1])
 		}
-		if c.counts[c.key(e[0], e[1])]++; c.counts[c.key(e[0], e[1])] == 1 {
-			c.cur.AddEdge(e[0], e[1])
-			if d != nil {
-				d.Add(e[0], e[1])
-			}
+		if c.hold(c.key(e)) == 1 && !c.inTree(e) {
+			d.Add(e[0], e[1])
 		}
 	}
 }
 
 // Topology implements dynet.Adversary.
 func (c *DeltaChurn) Topology(r int, _ []dynet.Action) *graph.Graph {
-	c.advance(r, nil)
+	c.script.Reset()
+	c.advance(r, &c.script)
+	if c.stale {
+		c.rebuild()
+	} else {
+		c.script.Apply(c.cur)
+	}
 	return c.cur
 }
 
-// Diff implements dynet.DeltaAdversary.
+// Diff implements dynet.DeltaAdversary. The consumer applies d to its own
+// snapshot, so cur is left behind until Topology next needs it.
 func (c *DeltaChurn) Diff(r int, _ []dynet.Action, d *dynet.EdgeDiff) {
 	c.advance(r, d)
+	c.stale = true
+}
+
+// rebuild resets cur to the tree plus the current slots.
+func (c *DeltaChurn) rebuild() {
+	c.cur.Reset()
+	for v, p := range c.parent {
+		if p >= 0 {
+			c.cur.AddEdge(v, int(p))
+		}
+	}
+	for _, e := range c.slots {
+		c.cur.AddEdge(e[0], e[1])
+	}
+	c.stale = false
 }

@@ -209,9 +209,9 @@ func TestCopyFromIsolation(t *testing.T) {
 
 // TestCopyFromSteadyStateAllocs pins the zero-allocation reuse path: once a
 // destination's arena has grown to fit, repeated CopyFrom calls allocate
-// nothing.
+// nothing. It must not run in parallel: AllocsPerRun reads process-wide
+// malloc counts, so concurrently running tests would be charged to it.
 func TestCopyFromSteadyStateAllocs(t *testing.T) {
-	t.Parallel()
 	src := RandomConnected(64, 96, rng.New(3))
 	dst := New(64)
 	dst.CopyFrom(src) // warm the arena
