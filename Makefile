@@ -3,7 +3,7 @@ FUZZTIME ?= 10s
 BENCHOUT ?=
 FUZZPKGS ?= ./internal/dynet ./internal/faults ./internal/advsearch ./internal/bitio
 
-.PHONY: build test race lint fuzz bench chaos ci
+.PHONY: build test race lint fuzz bench benchtest chaos ci
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,11 @@ lint:
 bench:
 	$(GO) run ./cmd/bench $(if $(BENCHOUT),-out $(BENCHOUT))
 
+# perfbench is its own module, so the root `go test ./...` never reaches
+# its tests; CI runs them separately, and so does this target.
+benchtest:
+	cd perfbench && $(GO) test ./...
+
 # Short smoke run of every native fuzz target in FUZZPKGS.
 fuzz:
 	@for pkg in $(FUZZPKGS); do \
@@ -38,4 +43,4 @@ fuzz:
 chaos:
 	$(GO) run ./cmd/chaos -n 16 -trials 6 -rates 0,0.05,0.3 -dims drop,crash
 
-ci: build lint test race fuzz chaos
+ci: build lint test benchtest race fuzz chaos

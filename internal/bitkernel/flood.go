@@ -14,6 +14,12 @@ import (
 // exactly the configured node count and is read-only until the next call;
 // a non-nil error aborts the run. Implementations own validation such as
 // connectivity checking — the kernel only consumes adjacency.
+//
+// In a round that starts with all N nodes informed the kernel reads no
+// adjacency: there is no receiver left to deliver to. The graph returned
+// for such a round only has to span N nodes, so an implementation may
+// hand back a stale or edgeless graph there instead of building the
+// round's real topology.
 type Topologies interface {
 	Round(r int, informed Bits) (*graph.Graph, error)
 }

@@ -1,6 +1,7 @@
 package bitkernel
 
 import (
+	"reflect"
 	"testing"
 
 	"dyndiam/internal/graph"
@@ -187,5 +188,111 @@ func TestFloodEngineNeverDone(t *testing.T) {
 	}
 	if res.Done || res.Rounds != 10 || res.InformedCount != 1 {
 		t.Fatalf("edgeless flood: %+v", res)
+	}
+}
+
+// floodRun is one FloodEngine run's observable output: its result and the
+// sequences its OnRound and OnRoundDone hooks saw.
+type floodRun struct {
+	res       FloodResult
+	onRound   [][3]int
+	roundDone []RoundStats
+}
+
+func runRecorded(cfg FloodConfig, topo Topologies, maxRounds int) (floodRun, error) {
+	var out floodRun
+	cfg.OnRound = func(r, senders, bits int) {
+		out.onRound = append(out.onRound, [3]int{r, senders, bits})
+	}
+	cfg.OnRoundDone = func(s RoundStats) { out.roundDone = append(out.roundDone, s) }
+	var e FloodEngine
+	res, err := e.Run(cfg, topo, maxRounds)
+	out.res = res
+	return out, err
+}
+
+func sameFloodResult(a, b FloodResult, n int) bool {
+	if a.Rounds != b.Rounds || a.Done != b.Done || a.Messages != b.Messages ||
+		a.Bits != b.Bits || a.InformedCount != b.InformedCount {
+		return false
+	}
+	for v := 0; v < n; v++ {
+		if a.Informed.Test(v) != b.Informed.Test(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestFloodEngineIgnoresAdjacencyOnceSaturated pins the Topologies
+// guarantee that a round starting with every node informed reads no
+// adjacency: handing the kernel an edgeless graph in each such round must
+// leave the result and both hook sequences identical to the real trace's.
+// Callers (the dynet fast path) rely on this to stop patching their
+// topology snapshot once the flood has saturated.
+func TestFloodEngineIgnoresAdjacencyOnceSaturated(t *testing.T) {
+	src := rng.New(17)
+	edgelessRounds := 0
+	for _, n := range []int{2, 5, 64, 65, 130} {
+		maxRounds := 3 * n
+		graphs := make([]*graph.Graph, maxRounds)
+		for r := range graphs {
+			graphs[r] = graph.RandomConnected(n, 1, src.Split(uint64(n), uint64(r)))
+		}
+		edgeless := graph.New(n)
+		for _, full := range []bool{false, true} {
+			seed := New(n)
+			seed.Set(0)
+			sat := 0 // the round at whose end every node is informed
+			if full {
+				seed.Fill(n)
+			} else {
+				sat = refFlood(FloodConfig{N: n, D: 1, StopAll: true, Seed: seed}, graphs, maxRounds).Rounds
+			}
+			for _, d := range []int{max(sat-1, 1), sat + 1 + n/2} {
+				for _, stop := range []struct {
+					name string
+					all  bool
+					node int
+				}{{"all", true, 0}, {"source", false, 0}, {"other", false, n - 1}} {
+					cfg := FloodConfig{
+						N: n, Source: 0, D: d, TokenBits: 5,
+						StopAll: stop.all, StopNode: stop.node, Seed: seed,
+					}
+					want := refFlood(cfg, graphs, maxRounds)
+					traced, err := runRecorded(cfg, traceTopologies(graphs), maxRounds)
+					if err != nil {
+						t.Fatal(err)
+					}
+					stripped, err := runRecorded(cfg, TopologiesFunc(func(r int, informed Bits) (*graph.Graph, error) {
+						if informed.Popcount() == n {
+							edgelessRounds++
+							return edgeless, nil
+						}
+						return graphs[r-1], nil
+					}), maxRounds)
+					if err != nil {
+						t.Fatal(err)
+					}
+					id := struct {
+						n, d int
+						stop string
+						full bool
+					}{n, d, stop.name, full}
+					if !sameFloodResult(traced.res, want, n) || !sameFloodResult(stripped.res, want, n) {
+						t.Fatalf("%+v: results diverge:\nref      %+v\nreal     %+v\nedgeless %+v", id, want, traced.res, stripped.res)
+					}
+					if !reflect.DeepEqual(traced.onRound, stripped.onRound) {
+						t.Fatalf("%+v: OnRound sequences diverge:\nreal     %v\nedgeless %v", id, traced.onRound, stripped.onRound)
+					}
+					if !reflect.DeepEqual(traced.roundDone, stripped.roundDone) {
+						t.Fatalf("%+v: OnRoundDone sequences diverge:\nreal     %v\nedgeless %v", id, traced.roundDone, stripped.roundDone)
+					}
+				}
+			}
+		}
+	}
+	if edgelessRounds == 0 {
+		t.Fatal("no round started saturated; the test exercised nothing")
 	}
 }

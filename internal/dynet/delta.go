@@ -6,7 +6,10 @@ import "dyndiam/internal/graph"
 // full topology every round, an adversary may describe round r > 1 as an
 // ordered edge-op script against the previous round's graph. The flood
 // fast path applies the script to one mutable CSR snapshot, so per-round
-// topology cost scales with the churn, not with the edge count.
+// topology cost scales with the churn, not with the edge count. The script
+// is applied only while something reads the snapshot: the flood kernel
+// until every node is informed, and the connectivity check whenever it is
+// on. Later scripts are still requested and counted, just not applied.
 
 // EdgeOp is one edge insertion or deletion.
 type EdgeOp struct {

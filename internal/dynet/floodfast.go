@@ -255,12 +255,19 @@ func (e *Engine) TryFloodFast(maxRounds int, stop FloodStop) (*Result, bool, err
 // Run does, and — when the adversary is a DeltaAdversary — maintains one
 // mutable CSR snapshot that each round's edge-diff script mutates in
 // place instead of materializing a fresh graph.
+//
+// The snapshot is patched only while something reads it: the kernel's
+// delivery scan, until every node is informed, and the connectivity
+// check. Once all n nodes are informed and checking is off, each round's
+// script is still requested and counted but not applied; the snapshot
+// goes stale and is dropped with the run.
 type floodTopo struct {
 	adv      Adversary
 	delta    DeltaAdversary // non-nil when adv implements it
 	n        int
 	actions  []Action
 	prev     bitkernel.Bits // informed snapshot behind actions
+	count    int            // informed nodes, popcount of prev
 	snap     *graph.Graph   // delta path's mutable round topology
 	diff     EdgeDiff
 	diffOps  int
@@ -301,6 +308,7 @@ func (t *floodTopo) Round(r int, informed bitkernel.Bits) (*graph.Graph, error) 
 			v := wi<<6 + bits.TrailingZeros64(changed)
 			changed &= changed - 1
 			t.actions[v] = Send
+			t.count++
 		}
 		t.prev[wi] = w
 	}
@@ -310,7 +318,9 @@ func (t *floodTopo) Round(r int, informed bitkernel.Bits) (*graph.Graph, error) 
 		t.delta.Diff(r, t.actions, &t.diff) //lint:allow hotpathalloc adversaries own their per-round script allocation budget
 		t.lastDiff = t.diff.Len()
 		t.diffOps += t.lastDiff
-		t.diff.Apply(t.snap)
+		if t.check || t.count < t.n {
+			t.diff.Apply(t.snap)
+		}
 		g = t.snap
 	} else {
 		t.lastDiff = 0

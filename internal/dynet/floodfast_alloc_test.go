@@ -3,6 +3,7 @@ package dynet_test
 import (
 	"testing"
 
+	"dyndiam/internal/adversaries"
 	"dyndiam/internal/dynet"
 	"dyndiam/internal/graph"
 	"dyndiam/internal/obs"
@@ -97,5 +98,45 @@ func TestFloodFastObservedAllocsIndependentOfRounds(t *testing.T) {
 	short, long := measure(50), measure(800)
 	if long > short+2 {
 		t.Fatalf("observed allocations grow with round count: %v at 50 rounds, %v at 800", short, long)
+	}
+}
+
+// TestFloodFastDeltaIdleRoundAllocs pins the per-round allocation cost of
+// delta rounds that start with every node informed. The fast path stops
+// patching its snapshot there, so the only allocation left per round is
+// DeltaChurn's round-keyed rng.Split; patching the snapshot would add the
+// arena-row growth of EdgeDiff.Apply (about 4.5 allocs per round at this
+// size).
+func TestFloodFastDeltaIdleRoundAllocs(t *testing.T) {
+	n := 4096
+	inputs := make([]int64, n)
+	inputs[0] = 7
+	extra := map[string]int64{flood.ExtraD: 1 << 20} // source never confirms
+
+	measure := func(maxRounds int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			e := &dynet.Engine{
+				Machines: dynet.NewMachines(flood.CFlood{}, n, inputs, 1, extra),
+				Adv:      adversaries.NewDeltaChurn(n, 512, 64, 9),
+			}
+			res, ok, err := e.TryFloodFast(maxRounds, dynet.StopAll())
+			if err != nil || !ok {
+				t.Fatalf("fast path: ok=%v err=%v", ok, err)
+			}
+			if res.Done {
+				t.Fatal("run terminated; rounds not exercised")
+			}
+			for v, m := range e.Machines {
+				if !flood.Informed(m) {
+					t.Fatalf("node %d uninformed after %d rounds; the measured rounds are not all saturated", v, maxRounds)
+				}
+			}
+		})
+	}
+	short, long := measure(100), measure(600)
+	perRound := (long - short) / 500
+	t.Logf("%.2f allocs per saturated delta round", perRound)
+	if perRound > 1.25 {
+		t.Fatalf("%.2f allocs per saturated delta round (%v at 100 rounds, %v at 600), want <= 1.25", perRound, short, long)
 	}
 }

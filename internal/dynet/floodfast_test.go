@@ -7,6 +7,7 @@ package dynet_test
 // delta-encoded adversaries, and round caps that cut the run short.
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -51,6 +52,16 @@ type floodCase struct {
 	connCheck bool
 	observed  bool // attach an Obs ring to both engines
 	stride    int  // fast path's ObsRoundStride (0 = every round)
+	// adv, when set, builds each path's adversary instead of
+	// randomAdversary(n, extra, seed).
+	adv func() dynet.Adversary
+}
+
+func (tc floodCase) adversary() dynet.Adversary {
+	if tc.adv != nil {
+		return tc.adv()
+	}
+	return randomAdversary(tc.n, tc.extra, tc.seed)
 }
 
 func (tc floodCase) stop() dynet.FloodStop {
@@ -68,8 +79,9 @@ func (tc floodCase) terminated() func([]dynet.Machine) bool {
 }
 
 // runBothPaths executes one case on the message path and the fast path
-// and cross-checks everything observable. It returns the fast result.
-func runBothPaths(t *testing.T, tc floodCase) *dynet.Result {
+// and cross-checks everything observable. It returns the fast result, or
+// the error both paths failed with.
+func runBothPaths(t *testing.T, tc floodCase) (*dynet.Result, error) {
 	t.Helper()
 
 	msMsg := newFloodMachines(tc.n, tc.seed, tc.extraD)
@@ -79,7 +91,7 @@ func runBothPaths(t *testing.T, tc floodCase) *dynet.Result {
 	}
 	eMsg := &dynet.Engine{
 		Machines:          msMsg,
-		Adv:               randomAdversary(tc.n, tc.extra, tc.seed),
+		Adv:               tc.adversary(),
 		Workers:           1,
 		Metrics:           regMsg,
 		CheckConnectivity: tc.connCheck,
@@ -91,7 +103,7 @@ func runBothPaths(t *testing.T, tc floodCase) *dynet.Result {
 	wantRes, wantErr := eMsg.Run(tc.maxRounds)
 
 	msFast := newFloodMachines(tc.n, tc.seed, tc.extraD)
-	adv := randomAdversary(tc.n, tc.extra, tc.seed)
+	adv := tc.adversary()
 	if tc.delta {
 		adv = dynet.DeltaFrom(adv)
 	}
@@ -122,7 +134,7 @@ func runBothPaths(t *testing.T, tc floodCase) *dynet.Result {
 		if wantErr.Error() != gotErr.Error() {
 			t.Fatalf("%+v: error text mismatch: %q vs %q", tc, wantErr, gotErr)
 		}
-		return nil
+		return nil, gotErr
 	}
 	if !reflect.DeepEqual(wantRes, gotRes) {
 		t.Fatalf("%+v: result mismatch:\nmessage %+v\nfast    %+v", tc, wantRes, gotRes)
@@ -155,7 +167,7 @@ func runBothPaths(t *testing.T, tc floodCase) *dynet.Result {
 			t.Fatalf("%+v: metrics mismatch:\nmessage %+v\nfast    %+v", tc, want, filtered)
 		}
 	}
-	return gotRes
+	return gotRes, nil
 }
 
 func TestFloodFastMatchesMessagePath(t *testing.T) {
@@ -184,6 +196,13 @@ func TestFloodFastMatchesMessagePath(t *testing.T) {
 				runBothPaths(t, floodCase{
 					n: n, extra: extra, seed: seed, extraD: 2, maxRounds: 2 * n,
 					stopNode: stopNode, stopAll: stopAll, delta: si == 2, connCheck: si == 0,
+				})
+				// Delta encoding under connectivity checking: the snapshot
+				// must stay patched, and checked, after saturation.
+				runBothPaths(t, floodCase{
+					n: n, extra: extra, seed: seed, extraD: int64(min(n, 48)), maxRounds: 2 * n,
+					stopNode: stopNode, stopAll: stopAll, delta: true, connCheck: true,
+					metrics: si == 0,
 				})
 			}
 			// Round cap cuts the run short: Done=false shape.
@@ -435,13 +454,73 @@ func TestFloodFastDisconnectedTopologyError(t *testing.T) {
 	}
 }
 
+// lateCut is a DeltaAdversary over the line 0-1-...-(n-1) that removes
+// the middle edge in round cut only: round cut's script deletes it and
+// round cut+1's re-adds it. A flood from node 0 informs every node by the
+// end of round n-1, so for cut >= n the graph is disconnected only in a
+// round that starts saturated.
+type lateCut struct{ n, cut int }
+
+func (a lateCut) Topology(r int, _ []dynet.Action) *graph.Graph {
+	g := graph.New(a.n)
+	for v := 0; v+1 < a.n; v++ {
+		g.AddEdge(v, v+1)
+	}
+	if r == a.cut {
+		g.RemoveEdge(a.n/2-1, a.n/2)
+	}
+	return g
+}
+
+func (a lateCut) Diff(r int, _ []dynet.Action, d *dynet.EdgeDiff) {
+	switch r {
+	case a.cut:
+		d.Del(a.n/2-1, a.n/2)
+	case a.cut + 1:
+		d.Add(a.n/2-1, a.n/2)
+	}
+}
+
+// TestFloodFastCheckedAfterSaturation pins that the fast path, which stops
+// patching its delta snapshot once every node is informed, never skips the
+// connectivity check: a disconnection scripted after saturation must fail
+// both paths with the same error under CheckConnectivity, and leave both
+// results identical without it.
+func TestFloodFastCheckedAfterSaturation(t *testing.T) {
+	for _, n := range []int{4, 9, 70} {
+		cut := n + 2
+		for _, stopAll := range []bool{false, true} {
+			for _, check := range []bool{false, true} {
+				tc := floodCase{
+					n: n, seed: 3, extraD: int64(2 * n), maxRounds: 3 * n,
+					stopAll: stopAll, metrics: true, connCheck: check, observed: true,
+					adv: func() dynet.Adversary { return lateCut{n: n, cut: cut} },
+				}
+				res, err := runBothPaths(t, tc)
+				if !check {
+					if err != nil || !res.Done || res.Rounds != 2*n {
+						t.Fatalf("n=%d stopAll=%v unchecked: res=%+v err=%v, want done at round %d", n, stopAll, res, err, 2*n)
+					}
+					continue
+				}
+				want := fmt.Sprintf("dynet: adversary returned disconnected topology in round %d", cut)
+				if err == nil || err.Error() != want {
+					t.Fatalf("n=%d stopAll=%v checked: err=%v, want %q", n, stopAll, err, want)
+				}
+			}
+		}
+	}
+}
+
 // FuzzFloodEquivalence drives randomized (n, topology seed, D bound, stop
-// mode, round cap, delta encoding) tuples through both execution paths
-// and requires bit-identical results and machine states.
+// mode, round cap, delta encoding, connectivity checking) tuples through
+// both execution paths and requires bit-identical results and machine
+// states. Connectivity checking is drawn from bit 1 of the seed.
 func FuzzFloodEquivalence(f *testing.F) {
 	f.Add(uint8(8), uint64(1), uint8(0), uint8(0), uint8(16), false)
 	f.Add(uint8(64), uint64(7), uint8(3), uint8(1), uint8(128), true)
 	f.Add(uint8(33), uint64(99), uint8(1), uint8(2), uint8(4), false)
+	f.Add(uint8(40), uint64(6), uint8(0), uint8(2), uint8(200), true) // delta + connCheck
 	f.Fuzz(func(t *testing.T, rawN uint8, seed uint64, rawD, rawStop, rawMax uint8, delta bool) {
 		n := int(rawN)%120 + 2
 		maxRounds := int(rawMax)%(2*n) + 1
@@ -450,6 +529,7 @@ func FuzzFloodEquivalence(f *testing.F) {
 			extraD:    int64(rawD) % int64(n),
 			maxRounds: maxRounds,
 			delta:     delta,
+			connCheck: seed&2 != 0,
 			metrics:   true,
 			observed:  seed%2 == 0,
 			stride:    int(rawMax % 5),
