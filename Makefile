@@ -3,7 +3,7 @@ FUZZTIME ?= 10s
 BENCHOUT ?=
 FUZZPKGS ?= ./internal/dynet ./internal/faults ./internal/advsearch ./internal/bitio
 
-.PHONY: build test race lint fuzz bench benchtest chaos ci
+.PHONY: build test race stress lint fuzz bench benchtest chaos ci
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Repeated runs of the serving layer, whose parallel tests run real sweeps
+# side by side: a test that leaks state into another fails here.
+stress:
+	$(GO) test -count=200 ./internal/serve
+	$(GO) test -race -count=10 ./internal/serve
 
 lint:
 	$(GO) vet ./...
@@ -43,4 +49,4 @@ fuzz:
 chaos:
 	$(GO) run ./cmd/chaos -n 16 -trials 6 -rates 0,0.05,0.3 -dims drop,crash
 
-ci: build lint test benchtest race fuzz chaos
+ci: build lint test benchtest race stress fuzz chaos

@@ -47,7 +47,7 @@ func BenchmarkFigure3Centipede(b *testing.B) {
 func BenchmarkThm6CFloodReduction(b *testing.B) {
 	var bits, claims int
 	for i := 0; i < b.N; i++ {
-		rows, err := dyndiam.CFloodReductionTable([]int{25}, 2, uint64(i))
+		rows, err := dyndiam.Sweep{}.CFloodReduction([]int{25}, 2, uint64(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func BenchmarkThm6CFloodReduction(b *testing.B) {
 func BenchmarkThm7ConsensusReduction(b *testing.B) {
 	var violations int
 	for i := 0; i < b.N; i++ {
-		rows, err := dyndiam.ConsensusReduction([]int{201}, uint64(i))
+		rows, err := dyndiam.Sweep{}.ConsensusReduction([]int{201}, uint64(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func BenchmarkThm7WithSection7Oracle(b *testing.B) {
 	}
 	var violations, decided int
 	for i := 0; i < b.N; i++ {
-		rows, err := dyndiam.ConsensusReductionWith([]int{3001}, uint64(i),
+		rows, err := dyndiam.Sweep{}.ConsensusReductionOracle([]int{3001}, uint64(i),
 			dyndiam.ViaLeaderConsensus{}, map[string]int64{
 				"K": 12, "alpha": 2, "beta": 1, "cpermille": 250,
 			})
@@ -130,7 +130,7 @@ func BenchmarkThm7WithSection7Oracle(b *testing.B) {
 func BenchmarkThm8LeaderElect(b *testing.B) {
 	var frTotal float64
 	for i := 0; i < b.N; i++ {
-		rows, err := dyndiam.LeaderSweep([]int{48}, 4, 0.9, 150, uint64(i))
+		rows, err := dyndiam.Sweep{}.LeaderSweep([]int{48}, 4, 0.9, 150, uint64(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func BenchmarkThm8LeaderElect(b *testing.B) {
 func BenchmarkGapTable(b *testing.B) {
 	var knownFR, unknownFR float64
 	for i := 0; i < b.N; i++ {
-		rows, err := dyndiam.GapTable([]int{128}, 4, uint64(i))
+		rows, err := dyndiam.Sweep{}.GapTable([]int{128}, 4, uint64(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func BenchmarkGapTable(b *testing.B) {
 func BenchmarkEstimateN(b *testing.B) {
 	var meanErr float64
 	for i := 0; i < b.N; i++ {
-		rows, err := dyndiam.EstimateSweep([]int{64}, []int{64}, 4, uint64(i))
+		rows, err := dyndiam.Sweep{}.EstimateSweep([]int{64}, []int{64}, 4, uint64(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func BenchmarkEstimateN(b *testing.B) {
 func BenchmarkMajorityCount(b *testing.B) {
 	var unsound int
 	for i := 0; i < b.N; i++ {
-		rows, err := dyndiam.MajoritySweep(32, []float64{0.5, 1.0}, 4, uint64(i))
+		rows, err := dyndiam.Sweep{}.MajoritySweep(32, []float64{0.5, 1.0}, 4, uint64(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -433,7 +433,7 @@ func BenchmarkTraceRoundTrip(b *testing.B) {
 func BenchmarkLeaderPhaseBreakdown(b *testing.B) {
 	var phases, rollbacks float64
 	for i := 0; i < b.N; i++ {
-		pb, err := dyndiam.LeaderPhases(24, 4, uint64(i), nil)
+		pb, err := dyndiam.Sweep{}.LeaderPhases(24, 4, uint64(i), nil)
 		if err != nil {
 			b.Fatal(err)
 		}

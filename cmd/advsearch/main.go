@@ -43,6 +43,7 @@ type options struct {
 	seed       uint64
 	evalBudget int
 	top        int
+	workers    int
 
 	checkpoint string
 	resume     bool
@@ -85,7 +86,7 @@ func main() {
 	opts := options{
 		n: *n, horizon: *horizon, mode: *mode, restarts: *restarts,
 		steps: *steps, pop: *pop, extraEdges: *extraEdges, seed: *seed,
-		evalBudget: *evalBudget, top: *top,
+		evalBudget: *evalBudget, top: *top, workers: cliutil.Workers(*workers),
 		checkpoint: *checkpoint, resume: *resume,
 		jsonOut: *jsonOut, tableOut: *tableOut, corpusDir: *corpusDir,
 		replay: *replay, expectConstructed: *expectConstructed,
@@ -97,8 +98,6 @@ func main() {
 	} else {
 		opts.protocols = cliutil.SplitList(*protocols)
 	}
-
-	harness.SetSweepWorkers(*workers)
 
 	if opts.replay != "" {
 		if err := runReplay(opts, os.Stdout); err != nil {
@@ -180,7 +179,7 @@ func searchOne(cfg advsearch.Config, opts options) (*advsearch.Report, error) {
 			st = &loaded
 		}
 	}
-	opt := advsearch.Options{}
+	opt := advsearch.Options{Sweep: harness.Sweep{Workers: opts.workers}}
 	if path != "" {
 		opt.OnProgress = func(st *advsearch.State) error {
 			return cliutil.SaveJSON(path, st)

@@ -141,7 +141,7 @@ func workloads(short bool) []struct {
 		{"Thm6CFloodReduction", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rows, err := dyndiam.CFloodReductionTable([]int{q}, 2, uint64(i))
+				rows, err := dyndiam.Sweep{}.CFloodReduction([]int{q}, 2, uint64(i))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -155,7 +155,7 @@ func workloads(short bool) []struct {
 		{"Thm8LeaderElect", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rows, err := dyndiam.LeaderSweep([]int{leaderN}, 4, 0.9, 150, uint64(i))
+				rows, err := dyndiam.Sweep{}.LeaderSweep([]int{leaderN}, 4, 0.9, 150, uint64(i))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -171,17 +171,16 @@ func workloads(short bool) []struct {
 		{"GapTable", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := dyndiam.GapTable([]int{gapN}, 4, 1); err != nil {
+				if _, err := (dyndiam.Sweep{}).GapTable([]int{gapN}, 4, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}},
 		{"GapTableParallelSweep", func(b *testing.B) {
 			b.ReportAllocs()
-			prev := dyndiam.SetSweepWorkers(0) // GOMAXPROCS
-			defer dyndiam.SetSweepWorkers(prev)
+			sw := dyndiam.Sweep{Workers: runtime.GOMAXPROCS(0)}
 			for i := 0; i < b.N; i++ {
-				if _, err := dyndiam.GapTable(gapSizes, 4, 1); err != nil {
+				if _, err := sw.GapTable(gapSizes, 4, 1); err != nil {
 					b.Fatal(err)
 				}
 			}

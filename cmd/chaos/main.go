@@ -46,7 +46,7 @@ type options struct {
 	rates           []float64
 	dims            []string
 	protocols       []string
-	budget          int
+	sweep           dyndiam.Sweep // workers and the resolved -budget
 	cellBudget      time.Duration
 	jsonOut         string
 	checkpoint      string
@@ -131,9 +131,12 @@ func main() {
 	)
 	flag.Parse()
 
+	if *budget < 1 {
+		*budget = dyndiam.DefaultRoundBudget
+	}
 	opts := options{
 		n: *n, diam: *diam, trials: *trials, seed: *seed,
-		budget: *budget, cellBudget: *cellBudget,
+		sweep: dyndiam.Sweep{Workers: cliutil.Workers(*workers), Budget: *budget}, cellBudget: *cellBudget,
 		jsonOut: *jsonOut, checkpoint: *checkpoint, resume: *resume,
 		replay: *replay, replayProto: *replayProto, replayDim: *replayDim,
 		replayRate: *replayRate, obsOut: *obsOut, traceOut: *traceOut,
@@ -155,9 +158,6 @@ func main() {
 			log.Fatalf("unknown protocol %q (want leader or cflood)", p)
 		}
 	}
-
-	dyndiam.SetSweepWorkers(*workers)
-	dyndiam.SetRoundBudget(opts.budget)
 
 	if opts.replay >= 0 {
 		if err := runReplay(opts); err != nil {
@@ -245,9 +245,9 @@ func runPoint(opts options, pt gridPoint) (jsonRow, error) {
 	var rows []dyndiam.DegradationRow
 	switch pt.protocol {
 	case "leader":
-		rows, err = dyndiam.LeaderDegradation(cfg)
+		rows, err = opts.sweep.LeaderDegradation(cfg)
 	case "cflood":
-		rows, err = dyndiam.CFloodDegradation(cfg)
+		rows, err = opts.sweep.CFloodDegradation(cfg)
 	}
 	if err != nil {
 		return jsonRow{}, fmt.Errorf("%s: %v", pt.key(), err)
@@ -375,7 +375,7 @@ func gate(opts options, rep report) error {
 	if zero == nil {
 		return nil // no clean leader anchor in this grid
 	}
-	clean, err := dyndiam.LeaderReliability(opts.n, opts.diam, opts.trials, nil)
+	clean, err := opts.sweep.LeaderReliability(opts.n, opts.diam, opts.trials, nil)
 	if err != nil {
 		return fmt.Errorf("gate: clean baseline failed: %v", err)
 	}
@@ -416,7 +416,7 @@ func runReplay(opts options) error {
 
 	var proto dyndiam.Protocol
 	inputs := make([]int64, opts.n)
-	horizon := dyndiam.RoundBudget()
+	horizon := opts.sweep.Budget
 	var terminated func([]dyndiam.Machine) bool
 	switch opts.replayProto {
 	case "leader":

@@ -103,9 +103,7 @@ func TestCheckpointRoundtrip(t *testing.T) {
 // deep-equal rows, and the clean anchor matches the reliability baseline —
 // the property the chaos gate enforces end to end.
 func TestRunPointDeterministic(t *testing.T) {
-	prev := dyndiam.SetRoundBudget(100_000)
-	defer dyndiam.SetRoundBudget(prev)
-	opts := options{n: 12, diam: 3, trials: 2, seed: 1}
+	opts := options{n: 12, diam: 3, trials: 2, seed: 1, sweep: dyndiam.Sweep{Budget: 100_000}}
 	for _, pt := range []gridPoint{
 		{"leader", "none", 0},
 		{"cflood", "drop", 0.3},

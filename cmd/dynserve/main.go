@@ -111,14 +111,11 @@ func main() {
 		log.Print(err)
 		os.Exit(2)
 	}
-	if opts.roundBudget > 0 {
-		dyndiam.SetRoundBudget(opts.roundBudget)
-	}
-
 	srv := dyndiam.NewExperimentServer(dyndiam.ServeConfig{
-		Workers:   opts.workers,
-		QueueCap:  opts.queueCap,
-		JobBudget: opts.jobBudget,
+		Workers:     opts.workers,
+		QueueCap:    opts.queueCap,
+		JobBudget:   opts.jobBudget,
+		RoundBudget: opts.roundBudget,
 	})
 	if opts.resume && opts.checkpoint != "" {
 		var saved []dyndiam.ServeCachedResult

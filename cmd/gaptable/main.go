@@ -33,7 +33,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	rows, err := dyndiam.GapTable(ns, *d, *seed)
+	var sw dyndiam.Sweep
+	rows, err := sw.GapTable(ns, *d, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func main() {
 
 	if *consensus {
 		fmt.Println()
-		crows, err := dyndiam.ConsensusGap(ns, *d, *seed)
+		crows, err := sw.ConsensusGap(ns, *d, *seed)
 		if err != nil {
 			log.Fatal(err)
 		}

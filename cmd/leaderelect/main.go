@@ -43,6 +43,7 @@ func main() {
 		log.Fatal(err)
 	}
 
+	var sw dyndiam.Sweep
 	switch {
 	case *obsOut != "" || *trcOut != "":
 		if err := observedRun(ns[0], *d, *factor, *cmil, *seed, *skipC1, *line, *obsOut, *trcOut); err != nil {
@@ -51,7 +52,7 @@ func main() {
 	case *phases:
 		var rows []dyndiam.PhaseBreakdown
 		for _, n := range ns {
-			pb, err := dyndiam.LeaderPhases(n, *d, *seed, nil)
+			pb, err := sw.LeaderPhases(n, *d, *seed, nil)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -60,14 +61,14 @@ func main() {
 		dyndiam.FormatPhaseBreakdown(rows).Fprint(os.Stdout)
 	case *retries > 0:
 		for _, n := range ns {
-			rel, err := dyndiam.LeaderReliability(n, *d, *retries, nil)
+			rel, err := sw.LeaderReliability(n, *d, *retries, nil)
 			if err != nil {
 				log.Fatal(err)
 			}
 			fmt.Println(dyndiam.FormatReliability(fmt.Sprintf("N=%d", n), rel))
 		}
 	default:
-		rows, err := dyndiam.LeaderSweep(ns, *d, *factor, *cmil, *seed)
+		rows, err := sw.LeaderSweep(ns, *d, *factor, *cmil, *seed)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -94,7 +95,7 @@ func observedRun(n, targetDiam int, factor float64, cmil int64, seed uint64, ski
 	}
 	ms := dyndiam.NewMachines(dyndiam.LeaderElect{Obs: ring}, n, make([]int64, n), seed, extra)
 	eng := &dyndiam.Engine{Machines: ms, Adv: adv, Workers: 1, Obs: ring, Metrics: metrics}
-	res, err := eng.Run(dyndiam.RoundBudget())
+	res, err := eng.Run(dyndiam.DefaultRoundBudget)
 	if err != nil {
 		return err
 	}

@@ -100,7 +100,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rows, err := dyndiam.CFloodReductionTable(qv, *n, *seed)
+		rows, err := dyndiam.Sweep{}.CFloodReduction(qv, *n, *seed)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rows, err := dyndiam.ConsensusReduction(qv, *seed)
+		rows, err := dyndiam.Sweep{}.ConsensusReduction(qv, *seed)
 		if err != nil {
 			log.Fatal(err)
 		}

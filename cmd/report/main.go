@@ -46,9 +46,9 @@ func main() {
 		resume  = flag.Bool("resume", false, "skip steps already recorded in the -checkpoint file")
 	)
 	flag.Parse()
-	dyndiam.SetSweepWorkers(*workers)
+	sw := dyndiam.Sweep{Workers: cliutil.Workers(*workers)}
 	if *obsOut != "" {
-		dyndiam.EnableSweepMetrics()
+		sw.Metrics = dyndiam.NewMetricsRegistry()
 	}
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
@@ -70,14 +70,14 @@ func main() {
 	}
 	steps := []step{
 		{"e4_gap", func() (*dyndiam.ResultTable, error) {
-			rows, err := dyndiam.GapTable(sizes, 4, *seed)
+			rows, err := sw.GapTable(sizes, 4, *seed)
 			if err != nil {
 				return nil, err
 			}
 			return dyndiam.FormatGapTable(rows), nil
 		}},
 		{"e1_thm6_reduction", func() (*dyndiam.ResultTable, error) {
-			rows, err := dyndiam.CFloodReductionTable(qs, 2, *seed)
+			rows, err := sw.CFloodReduction(qs, 2, *seed)
 			if err != nil {
 				return nil, err
 			}
@@ -91,28 +91,28 @@ func main() {
 			return dyndiam.FormatDiameterTable(rows), nil
 		}},
 		{"e2_thm7_reduction", func() (*dyndiam.ResultTable, error) {
-			rows, err := dyndiam.ConsensusReduction([]int{201, 401}, *seed)
+			rows, err := sw.ConsensusReduction([]int{201, 401}, *seed)
 			if err != nil {
 				return nil, err
 			}
 			return dyndiam.FormatConsensusRedTbl(rows), nil
 		}},
 		{"e3_thm8_leader", func() (*dyndiam.ResultTable, error) {
-			rows, err := dyndiam.LeaderSweep(leaderSizes, 4, 0.9, 150, *seed)
+			rows, err := sw.LeaderSweep(leaderSizes, 4, 0.9, 150, *seed)
 			if err != nil {
 				return nil, err
 			}
 			return dyndiam.FormatLeaderTable(rows), nil
 		}},
 		{"e5_estimate", func() (*dyndiam.ResultTable, error) {
-			rows, err := dyndiam.EstimateSweep(leaderSizes, []int{24, 64, 128}, 4, *seed)
+			rows, err := sw.EstimateSweep(leaderSizes, []int{24, 64, 128}, 4, *seed)
 			if err != nil {
 				return nil, err
 			}
 			return dyndiam.FormatEstimateTable(rows), nil
 		}},
 		{"e6_majority", func() (*dyndiam.ResultTable, error) {
-			rows, err := dyndiam.MajoritySweep(48, []float64{0.25, 0.5, 0.75, 1.0}, 4, *seed)
+			rows, err := sw.MajoritySweep(48, []float64{0.25, 0.5, 0.75, 1.0}, 4, *seed)
 			if err != nil {
 				return nil, err
 			}
@@ -128,7 +128,7 @@ func main() {
 		{"e10_phases", func() (*dyndiam.ResultTable, error) {
 			var rows []dyndiam.PhaseBreakdown
 			for _, n := range leaderSizes {
-				pb, err := dyndiam.LeaderPhases(n, 4, *seed, nil)
+				pb, err := sw.LeaderPhases(n, 4, *seed, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -172,15 +172,11 @@ func main() {
 	}
 
 	if *obsOut != "" {
-		reg := dyndiam.TakeSweepMetrics()
-		if reg == nil {
-			log.Fatal("obs-out: no sweep metrics were collected")
-		}
 		f, err := os.Create(*obsOut)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := dyndiam.WriteMetricsText(f, reg); err != nil {
+		if err := dyndiam.WriteMetricsText(f, sw.Metrics); err != nil {
 			f.Close()
 			log.Fatal(err)
 		}

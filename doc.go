@@ -20,6 +20,8 @@
 //     accounting and an empirical Lemma 5 referee.
 //   - An experiment harness regenerating every construction figure and
 //     theorem-level claim of the paper (see DESIGN.md and EXPERIMENTS.md).
+//     Its sweeps are methods on Sweep, which carries their worker count,
+//     round budget, metric registry and span sink.
 //
 // Quick start:
 //
@@ -48,11 +50,12 @@
 // cuts) attaches to Engine.Plan and injects faults as pure functions of
 // (seed, round, node, edge), so every faulty execution replays
 // bit-identically. A nil plan — and an all-zero spec — costs nothing:
-// the clean path is byte-identical with the layer off. LeaderDegradation
-// and CFloodDegradation sweep fault rates with Wilson-interval error
-// bars and graceful per-cell failure handling (NonTermination,
-// ErrCellPanic, ErrCellTimeout); cmd/chaos drives the grid. See
-// internal/faults and "Robustness & fault injection" in README.md.
+// the clean path is byte-identical with the layer off.
+// Sweep.LeaderDegradation and Sweep.CFloodDegradation sweep fault rates
+// with Wilson-interval error bars and graceful per-cell failure
+// handling (NonTermination, ErrCellPanic, ErrCellTimeout); cmd/chaos
+// drives the grid. See internal/faults and "Robustness & fault
+// injection" in README.md.
 //
 // The experiments also run as a service: NewExperimentServer (driven by
 // cmd/dynserve) exposes reliability runs, degradation grids, gap

@@ -307,38 +307,35 @@ func RunReduction(s ReductionSetup, referee bool) (*ReductionResult, error) {
 // ResultTable is a renderable experiment table.
 type ResultTable = harness.Table
 
-// Experiment entry points; see internal/harness for row semantics.
+// Sweep holds the options every experiment sweep runs under — worker
+// count, round budget, metric roll-up registry and span sink — and the
+// sweeps are its methods (GapTable, LeaderSweep, EstimateSweep,
+// MajoritySweep, ConsensusGap, CFloodReduction, ConsensusReduction,
+// ConsensusReductionOracle, LeaderReliability, LeaderPhases,
+// LeaderDegradation, CFloodDegradation). The zero value runs cells
+// sequentially under DefaultRoundBudget with no metrics and no spans;
+// tables are identical at every Workers setting.
+type Sweep = harness.Sweep
+
+// Experiment table renderers and the sweep-free entry points; see
+// internal/harness for row semantics.
 var (
-	GapTable               = harness.GapTable
 	FormatGapTable         = harness.FormatGapTable
-	LeaderSweep            = harness.LeaderSweep
 	FormatLeaderTable      = harness.FormatLeaderTable
-	EstimateSweep          = harness.EstimateSweep
 	FormatEstimateTable    = harness.FormatEstimateTable
-	MajoritySweep          = harness.MajoritySweep
 	FormatMajorityTable    = harness.FormatMajorityTable
-	CFloodReductionTable   = harness.CFloodReduction
 	FormatReductionTable   = harness.FormatReductionTable
-	ConsensusReduction     = harness.ConsensusReduction
-	ConsensusReductionWith = harness.ConsensusReductionOracle
 	FormatConsensusRedTbl  = harness.FormatConsensusReductionTable
-	LeaderReliability      = harness.LeaderReliability
 	FormatReliability      = harness.FormatReliability
 	ConstructionDiameters  = harness.ConstructionDiameters
 	FormatDiameterTable    = harness.FormatDiameterTable
 	CommTable              = harness.CommTable
 	FormatCommTable        = harness.FormatCommTable
-	ConsensusGap           = harness.ConsensusGap
 	FormatConsensusGapTbl  = harness.FormatConsensusGapTable
 	Figure1                = harness.Figure1
 	Figure2                = harness.Figure2
 	Figure3                = harness.Figure3
 	MeasureDynamicDiameter = harness.MeasureDynamicDiameter
-	// SetSweepWorkers sets how many experiment cells the sweeps above run
-	// concurrently (w < 1 selects GOMAXPROCS) and returns the previous
-	// value. Tables are identical at every setting.
-	SetSweepWorkers = harness.SetSweepWorkers
-	SweepWorkers    = harness.SweepWorkers
 	// TrialSeeds derives per-trial seeds from a root seed by rng splitting.
 	TrialSeeds = harness.TrialSeeds
 )
@@ -363,12 +360,9 @@ func WriteTableCSV(w io.Writer, t *ResultTable) error { return export.WriteCSV(w
 // one election run.
 type PhaseBreakdown = harness.PhaseBreakdown
 
-// LeaderPhases and FormatPhaseBreakdown report the phase structure of
-// Section 7 runs; Reliability summarizes repeated-seed evaluations.
-var (
-	LeaderPhases         = harness.LeaderPhases
-	FormatPhaseBreakdown = harness.FormatPhaseBreakdown
-)
+// FormatPhaseBreakdown renders Sweep.LeaderPhases results, the phase
+// structure of Section 7 runs.
+var FormatPhaseBreakdown = harness.FormatPhaseBreakdown
 
 // Reliability is a repeated-seed evaluation summary.
 type Reliability = harness.Reliability
@@ -438,15 +432,10 @@ const (
 // NewFaultPlan validates and compiles a FaultSpec.
 func NewFaultPlan(spec FaultSpec) (*FaultPlan, error) { return faults.NewPlan(spec) }
 
-// Degradation sweeps and the harness round budget; see internal/harness.
+// Degradation-table rendering and per-trial seeds; the degradation
+// sweeps are Sweep.LeaderDegradation and Sweep.CFloodDegradation.
 var (
-	LeaderDegradation      = harness.LeaderDegradation
-	CFloodDegradation      = harness.CFloodDegradation
 	FormatDegradationTable = harness.FormatDegradationTable
-	// SetRoundBudget caps how many rounds open-ended harness runs get
-	// before reporting NonTermination; RoundBudget reads the current cap.
-	SetRoundBudget = harness.SetRoundBudget
-	RoundBudget    = harness.RoundBudget
 	// ReliabilityTrialSeed and FaultTrialSeed are the seed derivations the
 	// reliability and degradation sweeps use per trial — exported so any
 	// single faulty trial can be replayed in isolation (see EXPERIMENTS.md).
@@ -529,25 +518,6 @@ func WriteChromeTrace(w io.Writer, events []ObsEvent) error { return obs.WriteCh
 
 // WriteMetricsText writes a registry as Prometheus text exposition.
 func WriteMetricsText(w io.Writer, r *MetricsRegistry) error { return obs.WriteMetricsText(w, r) }
-
-// EnableSweepMetrics turns on per-cell metric roll-ups for subsequent
-// harness sweeps; TakeSweepMetrics returns the aggregate (nil if never
-// enabled) and disables collection. Aggregates are bit-identical at
-// every SetSweepWorkers setting.
-var (
-	EnableSweepMetrics = harness.EnableSweepMetrics
-	TakeSweepMetrics   = harness.TakeSweepMetrics
-)
-
-// EnableSweepSpans turns on per-cell span capture for subsequent harness
-// sweeps (one Track-1 "sweep_cell" span per cell on the cell-index
-// clock); TakeSweepSpans returns the captured stream (nil if never
-// enabled) and disables capture. Captures are bit-identical at every
-// SetSweepWorkers setting.
-var (
-	EnableSweepSpans = harness.EnableSweepSpans
-	TakeSweepSpans   = harness.TakeSweepSpans
-)
 
 // --- Experiment serving (package serve) ---
 

@@ -10,7 +10,7 @@ import (
 // FuzzAdvSearchDeterminism is the package's determinism oath under
 // arbitrary configurations: the same seed and budget produce the
 // byte-identical best schedule and hardness table, run twice and at
-// different SweepWorkers settings. It sits alongside the dynet/faults
+// different Sweep.Workers settings. It sits alongside the dynet/faults
 // fuzz targets in make fuzz and the CI fuzz smoke.
 func FuzzAdvSearchDeterminism(f *testing.F) {
 	f.Add(uint64(1), uint8(8), uint8(10), uint8(2), uint8(3), uint8(0), uint8(1))
@@ -39,9 +39,7 @@ func FuzzAdvSearchDeterminism(f *testing.F) {
 		}
 
 		run := func(workers int) (string, string) {
-			prev := harness.SetSweepWorkers(workers)
-			defer harness.SetSweepWorkers(prev)
-			rep, err := Search(cfg, nil, Options{})
+			rep, err := Search(cfg, nil, Options{Sweep: harness.Sweep{Workers: workers}})
 			if err != nil {
 				t.Fatalf("cfg %+v: %v", cfg, err)
 			}

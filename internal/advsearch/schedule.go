@@ -8,7 +8,7 @@
 // invariant. Everything is a pure function of the configured seeds:
 // candidates are evaluated as deterministic sweep cells (the
 // internal/harness per-cell machinery), so a search is reproducible bit
-// for bit at any SweepWorkers setting, checkpointable, and its best
+// for bit at any Sweep.Workers setting, checkpointable, and its best
 // discoveries can be frozen into the regression corpus (see corpus.go).
 package advsearch
 

@@ -222,8 +222,13 @@ type Report struct {
 	Improvements int `json:"improvements"`
 }
 
-// Options carries the optional observability and progress hooks.
+// Options carries the sweep options and the optional observability and
+// progress hooks.
 type Options struct {
+	// Sweep runs the candidate evaluations: its Workers sets the batch
+	// size and cell concurrency, and its Metrics and Spans receive the
+	// per-cell roll-ups. The zero value evaluates one candidate at a time.
+	Sweep harness.Sweep
 	// Metrics, when non-nil, receives advsearch_candidates_total,
 	// advsearch_improvements_total, and the advsearch_best_score gauge.
 	Metrics *obs.Registry
@@ -242,9 +247,9 @@ var keyUnitSpan = obs.Intern("advsearch_unit")
 // Search runs the configured adversary search, resuming from st when it
 // already holds progress (pass nil to start fresh; the populated State
 // is returned alongside the report via the OnProgress hook). Candidate
-// evaluations run as deterministic sweep cells under
-// harness.SweepWorkers; the report is bit-identical at every worker
-// count and under any resume split.
+// evaluations run as deterministic sweep cells under opt.Sweep; the
+// report is bit-identical at every worker count and under any resume
+// split.
 func Search(cfg Config, st *State, opt Options) (*Report, error) {
 	cfg, err := cfg.Normalize()
 	if err != nil {
@@ -331,7 +336,7 @@ func countImprovements(constructed Candidate, pool []Candidate) int {
 }
 
 // searchUnits runs the random/greedy restart units that are not already
-// in st, in batches of SweepWorkers cells, checkpointing after each
+// in st, in batches of opt.Sweep.Workers cells, checkpointing after each
 // batch. Every unit's work is a pure function of (cfg, unit index).
 func searchUnits(cfg Config, st *State, opt Options) error {
 	done := map[int]bool{}
@@ -344,7 +349,7 @@ func searchUnits(cfg Config, st *State, opt Options) error {
 			pending = append(pending, u)
 		}
 	}
-	batch := harness.SweepWorkers()
+	batch := opt.Sweep.Workers
 	if batch < 1 {
 		batch = 1
 	}
@@ -356,7 +361,7 @@ func searchUnits(cfg Config, st *State, opt Options) error {
 		units := pending[:k]
 		pending = pending[k:]
 		results := make([]UnitResult, k)
-		err := harness.ForEachCell(k, func(i int, reg *obs.Registry) error {
+		err := opt.Sweep.ForEachCell(k, func(i int, reg *obs.Registry) error {
 			r, err := runUnit(cfg, units[i], reg)
 			if err != nil {
 				return err
@@ -437,7 +442,7 @@ func searchEvolve(cfg Config, st *State, opt Options) error {
 	root := rng.New(cfg.Seed)
 	if st.Pop == nil {
 		inits := make([]Candidate, cfg.Pop)
-		err := harness.ForEachCell(cfg.Pop, func(i int, reg *obs.Registry) error {
+		err := opt.Sweep.ForEachCell(cfg.Pop, func(i int, reg *obs.Registry) error {
 			s := RandomSchedule(cfg.N, cfg.Horizon, cfg.ExtraEdges, root.Split('p', uint64(i)))
 			h, err := Evaluate(cfg.Proto, s, cfg.EvalSeed, cfg.EvalBudget, reg)
 			if err != nil {
@@ -480,7 +485,7 @@ func searchEvolve(cfg Config, st *State, opt Options) error {
 			origins[i] = fmt.Sprintf("evolve g%d c%d", g, i)
 		}
 		brood := make([]Candidate, cfg.Pop)
-		err := harness.ForEachCell(cfg.Pop, func(i int, reg *obs.Registry) error {
+		err := opt.Sweep.ForEachCell(cfg.Pop, func(i int, reg *obs.Registry) error {
 			h, err := Evaluate(cfg.Proto, children[i], cfg.EvalSeed, cfg.EvalBudget, reg)
 			if err != nil {
 				return err

@@ -27,7 +27,7 @@ func reportBytes(t *testing.T, rep *Report) string {
 }
 
 // TestSearchWorkersGolden is the acceptance golden: for every mode and a
-// protocol spread, SweepWorkers 1 and 8 produce byte-identical reports
+// protocol spread, Sweep.Workers 1 and 8 produce byte-identical reports
 // and hardness tables.
 func TestSearchWorkersGolden(t *testing.T) {
 	cases := []struct {
@@ -42,24 +42,21 @@ func TestSearchWorkersGolden(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(string(tc.proto)+"/"+string(tc.mode), func(t *testing.T) {
 			cfg := testConfig(tc.proto, tc.mode)
-			prev := harness.SetSweepWorkers(1)
-			defer harness.SetSweepWorkers(prev)
-			seq, err := Search(cfg, nil, Options{})
+			seq, err := Search(cfg, nil, Options{Sweep: harness.Sweep{Workers: 1}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			harness.SetSweepWorkers(8)
-			par, err := Search(cfg, nil, Options{})
+			par, err := Search(cfg, nil, Options{Sweep: harness.Sweep{Workers: 8}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if a, b := reportBytes(t, seq), reportBytes(t, par); a != b {
-				t.Fatalf("SweepWorkers 1 vs 8 reports differ:\n%s\n%s", a, b)
+				t.Fatalf("Workers 1 vs 8 reports differ:\n%s\n%s", a, b)
 			}
 			ta := FormatHardnessTable([]HardnessRow{RowFromReport(seq)}).String()
 			tb := FormatHardnessTable([]HardnessRow{RowFromReport(par)}).String()
 			if ta != tb {
-				t.Fatalf("SweepWorkers 1 vs 8 tables differ:\n%s\n%s", ta, tb)
+				t.Fatalf("Workers 1 vs 8 tables differ:\n%s\n%s", ta, tb)
 			}
 		})
 	}
@@ -72,16 +69,15 @@ func TestSearchResumeEquivalent(t *testing.T) {
 	for _, mode := range []Mode{ModeGreedy, ModeEvolve} {
 		t.Run(string(mode), func(t *testing.T) {
 			cfg := testConfig(ProtoCFloodKnown, mode)
-			prev := harness.SetSweepWorkers(2)
-			defer harness.SetSweepWorkers(prev)
+			sw := harness.Sweep{Workers: 2}
 
-			full, err := Search(cfg, nil, Options{})
+			full, err := Search(cfg, nil, Options{Sweep: sw})
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			var snapshot []byte
-			_, err = Search(cfg, nil, Options{OnProgress: func(st *State) error {
+			_, err = Search(cfg, nil, Options{Sweep: sw, OnProgress: func(st *State) error {
 				if snapshot == nil {
 					b, err := json.Marshal(st)
 					if err != nil {
@@ -102,7 +98,7 @@ func TestSearchResumeEquivalent(t *testing.T) {
 			if err := json.Unmarshal(snapshot, &st); err != nil {
 				t.Fatal(err)
 			}
-			resumed, err := Search(cfg, &st, Options{})
+			resumed, err := Search(cfg, &st, Options{Sweep: sw})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,11 +221,9 @@ func (s *sliceSink) Emit(e obs.Event) { s.events = append(s.events, e) }
 func TestSearchObservability(t *testing.T) {
 	cfg := testConfig(ProtoLeader, ModeGreedy)
 	collect := func(workers int) ([]obs.MetricPoint, []obs.Event, *Report) {
-		prev := harness.SetSweepWorkers(workers)
-		defer harness.SetSweepWorkers(prev)
 		reg := obs.NewRegistry()
 		sink := &sliceSink{}
-		rep, err := Search(cfg, nil, Options{Metrics: reg, Obs: sink})
+		rep, err := Search(cfg, nil, Options{Sweep: harness.Sweep{Workers: workers}, Metrics: reg, Obs: sink})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,9 +240,7 @@ func TestSearchObservability(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	sink := &sliceSink{}
-	prev := harness.SetSweepWorkers(1)
-	defer harness.SetSweepWorkers(prev)
-	if _, err := Search(cfg, nil, Options{Metrics: reg, Obs: sink}); err != nil {
+	if _, err := Search(cfg, nil, Options{Sweep: harness.Sweep{Workers: 1}, Metrics: reg, Obs: sink}); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("advsearch_candidates_total").Value(); got != int64(rep.Evaluated) {

@@ -1,7 +1,7 @@
 // Package cliutil holds the small flag-plumbing helpers the cmd/
-// binaries share: comma-separated list parsing (cmd/chaos rates and
-// dims, cmd/dynserve sizes) and atomic JSON state files (the
-// checkpoint/resume plumbing of cmd/chaos, cmd/report, and
+// binaries share: the -workers flag rule, comma-separated list parsing
+// (cmd/chaos rates and dims, cmd/dynserve sizes) and atomic JSON state
+// files (the checkpoint/resume plumbing of cmd/chaos, cmd/report, and
 // cmd/dynserve). Every writer goes through WriteFileAtomic so an
 // interrupted run never leaves a truncated checkpoint behind.
 package cliutil
@@ -10,9 +10,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
+
+// Workers resolves a -workers flag value for a sweep: w < 1 selects
+// GOMAXPROCS.
+func Workers(w int) int {
+	if w < 1 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return w
+}
 
 // SplitList splits a comma-separated flag value into trimmed non-empty
 // items. An empty or all-blank input yields a nil slice.

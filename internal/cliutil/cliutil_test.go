@@ -4,8 +4,19 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 )
+
+func TestWorkers(t *testing.T) {
+	t.Parallel()
+	procs := runtime.GOMAXPROCS(0)
+	for _, c := range []struct{ in, want int }{{0, procs}, {-3, procs}, {1, 1}, {7, 7}} {
+		if got := Workers(c.in); got != c.want {
+			t.Errorf("Workers(%d) = %d, want %d", c.in, got, c.want)
+		}
+	}
+}
 
 func TestSplitList(t *testing.T) {
 	t.Parallel()

@@ -1,32 +1,14 @@
 package harness
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // DefaultRoundBudget is the round horizon the harness grants an open-ended
 // protocol run (leader election, consensus) before declaring
 // non-termination. Theorem 8 runs terminate in O((D+log N) log² N) rounds,
 // far below this; the budget exists so a broken protocol or a faulty run
 // surfaces as a structured NonTermination instead of spinning forever.
+// Sweep.Budget overrides it per sweep.
 const DefaultRoundBudget = 50_000_000
-
-var roundBudget int64 = DefaultRoundBudget
-
-// SetRoundBudget sets the harness round budget for subsequent runs and
-// returns the previous value. r < 1 restores DefaultRoundBudget. Like
-// SetSweepWorkers, the setting is process-global; tests and fault sweeps
-// lower it so non-terminating cells fail fast.
-func SetRoundBudget(r int) int {
-	if r < 1 {
-		r = DefaultRoundBudget
-	}
-	return int(atomic.SwapInt64(&roundBudget, int64(r)))
-}
-
-// RoundBudget returns the current harness round budget.
-func RoundBudget() int { return int(atomic.LoadInt64(&roundBudget)) }
 
 // NonTermination reports that a run exhausted its round budget without
 // deciding. It is a structured error so sweep layers can record it as a

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -10,156 +9,127 @@ import (
 )
 
 // The sweep functions (GapTable, LeaderSweep, EstimateSweep, MajoritySweep,
-// ConsensusGap) are grids of independent cells: every cell derives all of
-// its randomness from a seed that is a pure function of the sweep seed and
-// the cell's parameters — never of execution order — and writes only its
-// own result slot. Running cells concurrently therefore yields tables
-// identical to sequential execution, whatever SweepWorkers is set to.
+// ConsensusGap, ...) are grids of independent cells: every cell derives all
+// of its randomness from a seed that is a pure function of the sweep seed
+// and the cell's parameters — never of execution order — and writes only
+// its own result slot. Running cells concurrently therefore yields tables
+// identical to sequential execution, whatever Sweep.Workers is set to.
 
-var sweepWorkers int64 = 1
+// Sweep holds the options every harness sweep runs under. It is a plain
+// value passed down the call, so sweeps running side by side never see
+// each other's settings. The zero value runs cells sequentially under
+// DefaultRoundBudget, with no metric roll-up and no span capture.
+//
+// Metrics and Spans are written from the sweep's calling goroutine once
+// its cells have finished, so one registry or sink must not be shared by
+// sweeps that run concurrently.
+type Sweep struct {
+	// Workers is how many cells run concurrently; < 1 runs them
+	// sequentially. It changes wall-clock time only, never results.
+	Workers int
 
-// SetSweepWorkers sets how many experiment cells run concurrently in the
-// sweep functions and returns the previous value. w < 1 selects
-// GOMAXPROCS. The setting changes wall-clock time only, never results.
-func SetSweepWorkers(w int) int {
+	// Budget caps the rounds of open-ended protocol runs (leader
+	// election, consensus) before they report NonTermination; < 1 means
+	// DefaultRoundBudget.
+	Budget int
+
+	// Metrics, when non-nil, receives per-cell metric roll-ups. Every
+	// cell records into a private registry (created just-in-time, so a
+	// nil Metrics does no metric work at all), and after an error-free
+	// sweep the cell registries merge into Metrics in ascending
+	// cell-index order — never completion order. Counter and histogram
+	// merges are sums and each cell's content is a pure function of its
+	// parameters, so Metrics ends bit-identical at every Workers setting
+	// (pinned by TestSweepMetricsParallelEqualSequential). The reduction
+	// sweeps have no cells and count into Metrics directly.
+	Metrics *obs.Registry
+
+	// Spans, when non-nil, receives one span per cell after every
+	// error-free sweep: begin/end events on Track 1 (the harness lane of
+	// the repo's track convention), Node = cell index, positioned on the
+	// cell-index clock (cell i spans [i, i+1)), with A = the cell's
+	// engine_rounds_total. Spans are emitted in ascending cell-index
+	// order, so the stream is bit-identical at every Workers setting
+	// (pinned by TestSweepSpansParallelEqualSequential). The serve layer
+	// points this at a job's flight recorder so a Perfetto load of the job
+	// trace shows its sweep cells under the job span.
+	Spans obs.Sink
+}
+
+var keySweepCell = obs.Intern("sweep_cell")
+
+// budget resolves Budget: < 1 means DefaultRoundBudget.
+func (s Sweep) budget() int {
+	if s.Budget < 1 {
+		return DefaultRoundBudget
+	}
+	return s.Budget
+}
+
+// workers resolves Workers for a grid of cells: at least 1, at most cells.
+func (s Sweep) workers(cells int) int {
+	w := s.Workers
+	if w > cells {
+		w = cells
+	}
 	if w < 1 {
-		w = runtime.GOMAXPROCS(0)
+		w = 1
 	}
-	return int(atomic.SwapInt64(&sweepWorkers, int64(w)))
+	return w
 }
 
-// SweepWorkers returns the current sweep concurrency.
-func SweepWorkers() int { return int(atomic.LoadInt64(&sweepWorkers)) }
-
-// Sweep metric roll-ups. When enabled, every cell of every sweep records
-// into a private obs.Registry (created just-in-time, so the disabled path
-// does no metric work at all), and forEachCell merges the per-cell
-// registries into one aggregate in ascending cell-index order — never in
-// completion order. Counter and histogram merges are sums, registries are
-// merged in a fixed order, and each cell's content is a pure function of
-// its parameters, so the aggregate snapshot is bit-identical at every
-// SweepWorkers setting (pinned by TestSweepMetricsParallelEqualSequential).
-var (
-	sweepMetricsMu  sync.Mutex
-	sweepMetricsAgg *obs.Registry // nil = collection disabled
-)
-
-// EnableSweepMetrics turns on per-cell metric collection for subsequent
-// sweeps, discarding any aggregate a previous enablement accumulated.
-func EnableSweepMetrics() {
-	sweepMetricsMu.Lock()
-	defer sweepMetricsMu.Unlock()
-	sweepMetricsAgg = obs.NewRegistry()
-}
-
-// TakeSweepMetrics disables collection and returns the aggregate registry
-// (nil when collection was never enabled).
-func TakeSweepMetrics() *obs.Registry {
-	sweepMetricsMu.Lock()
-	defer sweepMetricsMu.Unlock()
-	r := sweepMetricsAgg
-	sweepMetricsAgg = nil
-	return r
-}
-
-func sweepMetricsEnabled() bool {
-	sweepMetricsMu.Lock()
-	defer sweepMetricsMu.Unlock()
-	return sweepMetricsAgg != nil
-}
-
-// Sweep span capture. When enabled, forEachCell appends one span per cell
-// to the captured stream after every error-free sweep: begin/end events on
-// Track 1 (the harness lane of the repo's track convention), Node = cell
-// index, positioned on the cell-index clock (cell i spans [i, i+1)), with
-// A = the cell's engine_rounds_total. Spans are appended in ascending
-// cell-index order — never completion order — so the captured stream is
-// bit-identical at every SweepWorkers setting (pinned by
-// TestSweepSpansParallelEqualSequential). The serve layer folds this
-// stream into its per-job flight recorder so a Perfetto load of a job
-// trace shows its sweep cells under the job span.
-var (
-	sweepSpansMu sync.Mutex
-	sweepSpans   []obs.Event // nil = capture disabled
-	keySweepCell = obs.Intern("sweep_cell")
-)
-
-// EnableSweepSpans turns on per-cell span capture for subsequent sweeps,
-// discarding anything a previous enablement captured.
-func EnableSweepSpans() {
-	sweepSpansMu.Lock()
-	defer sweepSpansMu.Unlock()
-	sweepSpans = []obs.Event{}
-}
-
-// TakeSweepSpans disables capture and returns the captured span events
-// (nil when capture was never enabled).
-func TakeSweepSpans() []obs.Event {
-	sweepSpansMu.Lock()
-	defer sweepSpansMu.Unlock()
-	evs := sweepSpans
-	sweepSpans = nil
-	return evs
-}
-
-func sweepSpansEnabled() bool {
-	sweepSpansMu.Lock()
-	defer sweepSpansMu.Unlock()
-	return sweepSpans != nil
-}
-
-// appendSweepSpans emits one cell span per registry in slice (= cell-index)
-// order. It runs only after an error-free sweep, so every non-nil registry
-// is a completed cell.
-func appendSweepSpans(regs []*obs.Registry) {
-	sweepSpansMu.Lock()
-	defer sweepSpansMu.Unlock()
-	if sweepSpans == nil {
-		return
-	}
+// finish hands the per-cell registries of an error-free sweep to Metrics
+// and Spans, both in slice (= cell-index) order. Nil entries — unrun
+// cells — are skipped.
+func (s Sweep) finish(regs []*obs.Registry) {
 	for i, r := range regs {
 		if r == nil {
 			continue
 		}
-		rounds := r.Counter("engine_rounds_total").Value()
-		sweepSpans = append(sweepSpans,
-			obs.Event{Kind: obs.KindSpanBegin, Round: int32(i), Node: int32(i), Track: 1, A: rounds, Name: keySweepCell},
-			obs.Event{Kind: obs.KindSpanEnd, Round: int32(i + 1), Node: int32(i), Track: 1, A: rounds, Name: keySweepCell},
-		)
-	}
-}
-
-// mergeSweepMetrics folds per-cell registries into the aggregate in slice
-// (= cell-index) order. Nil entries — disabled collection or unrun cells —
-// are skipped.
-func mergeSweepMetrics(regs []*obs.Registry) {
-	sweepMetricsMu.Lock()
-	defer sweepMetricsMu.Unlock()
-	if sweepMetricsAgg == nil {
-		return
-	}
-	for _, r := range regs {
-		if r != nil {
-			sweepMetricsAgg.Merge(r)
+		s.Metrics.Merge(r)
+		if s.Spans != nil {
+			rounds := r.Counter("engine_rounds_total").Value()
+			s.Spans.Emit(obs.Event{Kind: obs.KindSpanBegin, Round: int32(i), Node: int32(i), Track: 1, A: rounds, Name: keySweepCell})
+			s.Spans.Emit(obs.Event{Kind: obs.KindSpanEnd, Round: int32(i + 1), Node: int32(i), Track: 1, A: rounds, Name: keySweepCell})
 		}
 	}
 }
 
-// forEachCell runs fn(i, reg) for every cell index in [0, cells) across
-// SweepWorkers goroutines. All cells run to completion; the lowest-index
-// error is returned, which is the error a sequential sweep reports first.
-// reg is the cell's private metrics registry when sweep metrics or sweep
-// spans are enabled, nil (and safe to use unconditionally) otherwise;
-// after an error-free sweep every cell's registry is merged into the
-// metrics aggregate and rendered into the span capture, both in
-// cell-index order.
-func forEachCell(cells int, fn func(i int, reg *obs.Registry) error) error {
-	workers := SweepWorkers()
-	if workers > cells {
-		workers = cells
+// runPool calls fn(i) for every i in [0, cells) across workers goroutines
+// and returns once all calls have.
+func runPool(workers, cells int, fn func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= cells {
+					return
+				}
+				fn(i)
+			}
+		}()
 	}
+	wg.Wait()
+}
+
+// ForEachCell runs fn(i, reg) for every cell index in [0, cells) across
+// s.Workers goroutines. All cells run to completion; the lowest-index
+// error is returned, which is the error a sequential sweep reports first.
+// fn must derive all of its randomness from the cell index i (never from
+// execution order) and write only its own result slot; under that
+// contract results are identical at every Workers setting. reg is the
+// cell's private metrics registry when s.Metrics or s.Spans is set, nil
+// (and safe to use unconditionally) otherwise; after an error-free sweep
+// every cell's registry goes to s.finish. Sweeps outside this package
+// (the adversary-synthesis harness in internal/advsearch) run their
+// cells through it too.
+func (s Sweep) ForEachCell(cells int, fn func(i int, reg *obs.Registry) error) error {
 	var regs []*obs.Registry
-	if sweepMetricsEnabled() || sweepSpansEnabled() {
+	if s.Metrics != nil || s.Spans != nil {
 		regs = make([]*obs.Registry, cells)
 	}
 	cellReg := func(i int) *obs.Registry {
@@ -169,53 +139,23 @@ func forEachCell(cells int, fn func(i int, reg *obs.Registry) error) error {
 		regs[i] = obs.NewRegistry()
 		return regs[i]
 	}
-	if workers <= 1 {
+	if workers := s.workers(cells); workers == 1 {
 		for i := 0; i < cells; i++ {
 			if err := fn(i, cellReg(i)); err != nil {
 				return err
 			}
 		}
-		mergeSweepMetrics(regs)
-		appendSweepSpans(regs)
-		return nil
-	}
-	errs := make([]error, cells)
-	next := int64(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= cells {
-					return
-				}
-				errs[i] = fn(i, cellReg(i))
+	} else {
+		errs := make([]error, cells)
+		runPool(workers, cells, func(i int) { errs[i] = fn(i, cellReg(i)) })
+		for _, err := range errs {
+			if err != nil {
+				return err
 			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
 		}
 	}
-	mergeSweepMetrics(regs)
-	appendSweepSpans(regs)
+	s.finish(regs)
 	return nil
-}
-
-// ForEachCell exposes the deterministic sweep-cell runner to sweeps that
-// live outside this package (the adversary-synthesis harness in
-// internal/advsearch). The contract is forEachCell's: fn(i, reg) must
-// derive all of its randomness from the cell index i (never from
-// execution order), write only its own result slot, and treat reg as its
-// private metrics registry (nil unless sweep metrics or spans are
-// enabled). Under that contract results are identical at every
-// SweepWorkers setting.
-func ForEachCell(cells int, fn func(i int, reg *obs.Registry) error) error {
-	return forEachCell(cells, fn)
 }
 
 // TrialSeeds derives trials independent seeds from root by rng splitting.

@@ -84,8 +84,8 @@ func FaultTrialSeed(root uint64, row, trial int) uint64 {
 }
 
 // degradationSweep drives one row per Spec, Trials graceful cells per row.
-// Rows run sequentially; trials within a row run across SweepWorkers.
-func degradationSweep(cfg DegradationConfig, run func(trial int, plan *faults.Plan) (degTrial, error)) ([]DegradationRow, error) {
+// Rows run sequentially; trials within a row run across s.Workers.
+func (s Sweep) degradationSweep(cfg DegradationConfig, run func(trial int, plan *faults.Plan) (degTrial, error)) ([]DegradationRow, error) {
 	if cfg.Trials <= 0 {
 		return nil, fmt.Errorf("harness: degradation sweep needs at least one trial, got %d", cfg.Trials)
 	}
@@ -103,7 +103,7 @@ func degradationSweep(cfg DegradationConfig, run func(trial int, plan *faults.Pl
 	rows := make([]DegradationRow, len(cfg.Specs))
 	for i, spec := range cfg.Specs {
 		i, spec := i, spec
-		trials, outcomes := gracefulCells(cfg.Trials, cfg.CellBudget, func(trial int) (degTrial, error) {
+		trials, outcomes := gracefulCells(s, cfg.Trials, cfg.CellBudget, func(trial int) (degTrial, error) {
 			var plan *faults.Plan
 			if !spec.Zero() {
 				s := spec
@@ -143,9 +143,9 @@ func degradationSweep(cfg DegradationConfig, run func(trial int, plan *faults.Pl
 // candidate can stall the doubling schedule forever — under faults that is
 // a degradation datum, not a harness bug). The zero-Spec row is identical
 // to LeaderReliability with the same N, diameter, trials, and Extra.
-func LeaderDegradation(cfg DegradationConfig) ([]DegradationRow, error) {
-	budget := RoundBudget()
-	return degradationSweep(cfg, func(trial int, plan *faults.Plan) (degTrial, error) {
+func (s Sweep) LeaderDegradation(cfg DegradationConfig) ([]DegradationRow, error) {
+	budget := s.budget()
+	return s.degradationSweep(cfg, func(trial int, plan *faults.Plan) (degTrial, error) {
 		seed := ReliabilityTrialSeed(trial)
 		adv := adversaries.BoundedDiameter(cfg.N, cfg.TargetDiam, cfg.N/2, seed)
 		ms := dynet.NewMachines(leader.Protocol{}, cfg.N, make([]int64, cfg.N), seed, cfg.Extra)
@@ -167,16 +167,21 @@ func LeaderDegradation(cfg DegradationConfig) ([]DegradationRow, error) {
 	})
 }
 
+// LeaderDegradation is Sweep{}.LeaderDegradation.
+func LeaderDegradation(cfg DegradationConfig) ([]DegradationRow, error) {
+	return Sweep{}.LeaderDegradation(cfg)
+}
+
 // CFloodDegradation sweeps unknown-diameter confirmed flooding (the
 // pessimistic D = N-1 baseline) across fault Specs. A trial errs when the
 // source confirms while some node is uninformed or holds a corrupted
 // token — exactly the CFLOOD correctness condition — or when the source
 // never confirms within the 4N-round horizon (a crashed source misses its
 // confirmation round).
-func CFloodDegradation(cfg DegradationConfig) ([]DegradationRow, error) {
+func (s Sweep) CFloodDegradation(cfg DegradationConfig) ([]DegradationRow, error) {
 	const token = 1
 	horizon := 4 * cfg.N
-	return degradationSweep(cfg, func(trial int, plan *faults.Plan) (degTrial, error) {
+	return s.degradationSweep(cfg, func(trial int, plan *faults.Plan) (degTrial, error) {
 		seed := ReliabilityTrialSeed(trial)
 		adv := adversaries.BoundedDiameter(cfg.N, cfg.TargetDiam, cfg.N/2, seed)
 		inputs := make([]int64, cfg.N)

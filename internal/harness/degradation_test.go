@@ -12,7 +12,7 @@ import (
 // error count and round distribution reproduce LeaderReliability.
 func TestLeaderDegradationZeroRowMatchesReliability(t *testing.T) {
 	const n, diam, trials = 16, 4, 4
-	rel, err := LeaderReliability(n, diam, trials, nil)
+	rel, err := Sweep{}.LeaderReliability(n, diam, trials, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestLeaderDegradationZeroRowMatchesReliability(t *testing.T) {
 }
 
 // TestDegradationParallelEqualsSequential: degradation tables are pure
-// functions of the config — identical at every SweepWorkers setting, even
+// functions of the config — identical at every Sweep.Workers setting, even
 // with faults injected.
 func TestDegradationParallelEqualsSequential(t *testing.T) {
 	cfg := DegradationConfig{
@@ -44,9 +44,7 @@ func TestDegradationParallelEqualsSequential(t *testing.T) {
 		Specs: []faults.Spec{{}, {Drop: 0.3}, {Crash: 0.05}},
 	}
 	run := func(workers int) []DegradationRow {
-		prev := SetSweepWorkers(workers)
-		defer SetSweepWorkers(prev)
-		rows, err := LeaderDegradation(cfg)
+		rows, err := Sweep{Workers: workers}.LeaderDegradation(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +64,7 @@ func TestDegradationParallelEqualsSequential(t *testing.T) {
 // TestCrashRejoinGridParallelDeterminism closes the remaining parallel-
 // determinism gap: crash/rejoin fault grids — scheduled outages with
 // rejoin windows plus random crash/rejoin churn — must be bit-identical
-// at SweepWorkers 1 vs 8, INCLUDING the recorded error string of every
+// at Sweep.Workers 1 vs 8, INCLUDING the recorded error string of every
 // failed cell. (TestDegradationParallelEqualsSequential nils the error
 // values before comparing, so only the outcome codes had the guarantee;
 // here the texts themselves are part of the contract, matching the
@@ -110,16 +108,14 @@ func TestCrashRejoinGridParallelDeterminism(t *testing.T) {
 	}
 	sweeps := []struct {
 		name  string
-		sweep func(DegradationConfig) ([]DegradationRow, error)
+		sweep func(Sweep, DegradationConfig) ([]DegradationRow, error)
 	}{
-		{"leader", LeaderDegradation},
-		{"cflood", CFloodDegradation},
+		{"leader", Sweep.LeaderDegradation},
+		{"cflood", Sweep.CFloodDegradation},
 	}
 	for _, tc := range sweeps {
 		run := func(workers int) ([]DegradationRow, [][]failure) {
-			prev := SetSweepWorkers(workers)
-			defer SetSweepWorkers(prev)
-			rows, err := tc.sweep(cfg)
+			rows, err := tc.sweep(Sweep{Workers: workers}, cfg)
 			if err != nil {
 				t.Fatalf("%s at %d workers: %v", tc.name, workers, err)
 			}
@@ -152,7 +148,7 @@ func TestCrashRejoinGridParallelDeterminism(t *testing.T) {
 // TestCFloodDegradationShape: the flooding sweep produces one row per
 // Spec, a clean zero row, and degradation under total message loss.
 func TestCFloodDegradationShape(t *testing.T) {
-	rows, err := CFloodDegradation(DegradationConfig{
+	rows, err := Sweep{}.CFloodDegradation(DegradationConfig{
 		N: 10, TargetDiam: 3, Trials: 3, Seed: 5,
 		Specs: []faults.Spec{{}, {Drop: 1}},
 	})

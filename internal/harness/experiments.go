@@ -17,8 +17,10 @@ import (
 
 // sweepRoundBounds buckets whole-run round counts; wider than the engine's
 // per-round bounds because leader elections run for millions of rounds.
-// Shared across cells so merged histograms agree on one layout.
-var sweepRoundBounds = []int64{1 << 6, 1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20, 1 << 22, 1 << 24}
+// Every cell uses this one layout so merged histograms agree.
+func sweepRoundBounds() []int64 {
+	return []int64{1 << 6, 1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20, 1 << 22, 1 << 24}
+}
 
 // MeasureDynamicDiameter drives the adversary (with all-receive action
 // commitments) for horizon rounds and returns the exact dynamic diameter
@@ -48,6 +50,13 @@ func MeasureDynamicDiameter(adv dynet.Adversary, n, horizon int) (int, error) {
 	return d, nil
 }
 
+// boundedDiameter measures the dynamic diameter of the bounded-diameter
+// family every sweep runs on (n nodes, n/2 extra edges per round),
+// certified within a horizon of 6·targetDiam+60 rounds.
+func boundedDiameter(n, targetDiam int, seed uint64) (int, error) {
+	return MeasureDynamicDiameter(adversaries.BoundedDiameter(n, targetDiam, n/2, seed), n, 6*targetDiam+60)
+}
+
 // GapRow is one row of the E4 headline table.
 type GapRow struct {
 	N              int
@@ -65,14 +74,14 @@ type GapRow struct {
 // Ω((N/log N)^¼) lower-bound curve for the unknown case.
 //
 //lint:pure
-func GapTable(sizes []int, targetDiam int, seed uint64) ([]GapRow, error) {
+func (s Sweep) GapTable(sizes []int, targetDiam int, seed uint64) ([]GapRow, error) {
 	rows := make([]GapRow, len(sizes))
-	err := forEachCell(len(sizes), func(i int, reg *obs.Registry) error {
+	err := s.ForEachCell(len(sizes), func(i int, reg *obs.Registry) error {
 		n := sizes[i]
 		makeAdv := func() dynet.Adversary {
 			return adversaries.BoundedDiameter(n, targetDiam, n/2, seed+uint64(n))
 		}
-		d, err := MeasureDynamicDiameter(makeAdv(), n, 6*targetDiam+60)
+		d, err := boundedDiameter(n, targetDiam, seed+uint64(n))
 		if err != nil {
 			return err
 		}
@@ -113,14 +122,19 @@ func GapTable(sizes []int, targetDiam int, seed uint64) ([]GapRow, error) {
 		row.OutputsCorrect = okKnown && okUnknown
 		rows[i] = row
 		reg.Counter("sweep_cells_total").Add(1)
-		reg.Histogram("gap_known_rounds", sweepRoundBounds).Observe(int64(known))
-		reg.Histogram("gap_unknown_rounds", sweepRoundBounds).Observe(int64(unknown))
+		reg.Histogram("gap_known_rounds", sweepRoundBounds()).Observe(int64(known))
+		reg.Histogram("gap_unknown_rounds", sweepRoundBounds()).Observe(int64(unknown))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return rows, nil
+}
+
+// GapTable is Sweep{}.GapTable.
+func GapTable(sizes []int, targetDiam int, seed uint64) ([]GapRow, error) {
+	return Sweep{}.GapTable(sizes, targetDiam, seed)
 }
 
 // FormatGapTable renders E4 rows.
@@ -151,13 +165,12 @@ type LeaderRow struct {
 // under margin cPermille.
 //
 //lint:pure
-func LeaderSweep(sizes []int, targetDiam int, nprimeFactor float64, cPermille int64, seed uint64) ([]LeaderRow, error) {
+func (s Sweep) LeaderSweep(sizes []int, targetDiam int, nprimeFactor float64, cPermille int64, seed uint64) ([]LeaderRow, error) {
 	rows := make([]LeaderRow, len(sizes))
-	err := forEachCell(len(sizes), func(i int, reg *obs.Registry) error {
+	err := s.ForEachCell(len(sizes), func(i int, reg *obs.Registry) error {
 		n := sizes[i]
 		adv := adversaries.BoundedDiameter(n, targetDiam, n/2, seed+uint64(n))
-		d, err := MeasureDynamicDiameter(
-			adversaries.BoundedDiameter(n, targetDiam, n/2, seed+uint64(n)), n, 6*targetDiam+60)
+		d, err := boundedDiameter(n, targetDiam, seed+uint64(n))
 		if err != nil {
 			return err
 		}
@@ -168,7 +181,7 @@ func LeaderSweep(sizes []int, targetDiam int, nprimeFactor float64, cPermille in
 		inputs := make([]int64, n)
 		ms := dynet.NewMachines(leader.Protocol{}, n, inputs, seed^uint64(3*n), extra)
 		e := &dynet.Engine{Machines: ms, Adv: adv, Workers: 1, Metrics: reg}
-		budget := RoundBudget()
+		budget := s.budget()
 		res, err := e.Run(budget)
 		if err != nil {
 			return err
@@ -198,13 +211,18 @@ func LeaderSweep(sizes []int, targetDiam int, nprimeFactor float64, cPermille in
 		}
 		reg.Counter("sweep_cells_total").Add(1)
 		reg.Counter("leader_lock_rollbacks_total").Add(int64(failed))
-		reg.Histogram("leader_rounds", sweepRoundBounds).Observe(int64(res.Rounds))
+		reg.Histogram("leader_rounds", sweepRoundBounds()).Observe(int64(res.Rounds))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return rows, nil
+}
+
+// LeaderSweep is Sweep{}.LeaderSweep.
+func LeaderSweep(sizes []int, targetDiam int, nprimeFactor float64, cPermille int64, seed uint64) ([]LeaderRow, error) {
+	return Sweep{}.LeaderSweep(sizes, targetDiam, nprimeFactor, cPermille, seed)
 }
 
 // FormatLeaderTable renders E3 rows.
@@ -234,15 +252,14 @@ type EstimateRow struct {
 // O(log N) flooding rounds).
 //
 //lint:pure
-func EstimateSweep(sizes, ks []int, targetDiam int, seed uint64) ([]EstimateRow, error) {
+func (s Sweep) EstimateSweep(sizes, ks []int, targetDiam int, seed uint64) ([]EstimateRow, error) {
 	rows := make([]EstimateRow, len(sizes)*len(ks))
-	err := forEachCell(len(rows), func(i int, reg *obs.Registry) error {
+	err := s.ForEachCell(len(rows), func(i int, reg *obs.Registry) error {
 		// Cell (n, k); the diameter measurement repeats per k but is a
 		// pure function of (n, seed), so every k-cell of one n sees the
 		// same d the sequential sweep computed once.
 		n, k := sizes[i/len(ks)], ks[i%len(ks)]
-		d, err := MeasureDynamicDiameter(
-			adversaries.BoundedDiameter(n, targetDiam, n/2, seed+uint64(n)), n, 6*targetDiam+60)
+		d, err := boundedDiameter(n, targetDiam, seed+uint64(n))
 		if err != nil {
 			return err
 		}
@@ -303,14 +320,13 @@ type MajorityRow struct {
 // fractions.
 //
 //lint:pure
-func MajoritySweep(n int, fracs []float64, targetDiam int, seed uint64) ([]MajorityRow, error) {
-	d, err := MeasureDynamicDiameter(
-		adversaries.BoundedDiameter(n, targetDiam, n/2, seed), n, 6*targetDiam+60)
+func (s Sweep) MajoritySweep(n int, fracs []float64, targetDiam int, seed uint64) ([]MajorityRow, error) {
+	d, err := boundedDiameter(n, targetDiam, seed)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]MajorityRow, len(fracs))
-	cellErr := forEachCell(len(fracs), func(i int, reg *obs.Registry) error {
+	cellErr := s.ForEachCell(len(fracs), func(i int, reg *obs.Registry) error {
 		f := fracs[i]
 		holders := int(f * float64(n))
 		inputs := make([]int64, n)
@@ -371,12 +387,11 @@ type ConsensusGapRow struct {
 // ConsensusGap runs consensus.KnownD and consensus.ViaLeader side by side.
 //
 //lint:pure
-func ConsensusGap(sizes []int, targetDiam int, seed uint64) ([]ConsensusGapRow, error) {
+func (s Sweep) ConsensusGap(sizes []int, targetDiam int, seed uint64) ([]ConsensusGapRow, error) {
 	rows := make([]ConsensusGapRow, len(sizes))
-	err := forEachCell(len(sizes), func(i int, reg *obs.Registry) error {
+	err := s.ForEachCell(len(sizes), func(i int, reg *obs.Registry) error {
 		n := sizes[i]
-		d, err := MeasureDynamicDiameter(
-			adversaries.BoundedDiameter(n, targetDiam, n/2, seed+uint64(n)), n, 6*targetDiam+60)
+		d, err := boundedDiameter(n, targetDiam, seed+uint64(n))
 		if err != nil {
 			return err
 		}
@@ -394,12 +409,12 @@ func ConsensusGap(sizes []int, targetDiam int, seed uint64) ([]ConsensusGapRow, 
 				Workers:  1,
 				Metrics:  reg,
 			}
-			res, err := e.Run(RoundBudget())
+			res, err := e.Run(s.budget())
 			if err != nil {
 				return 0, false, fmt.Errorf("harness: consensus failed: %v", err)
 			}
 			if !res.Done {
-				return 0, false, NonTermination{Name: fmt.Sprintf("consensus N=%d", n), Cell: i, Budget: RoundBudget()}
+				return 0, false, NonTermination{Name: fmt.Sprintf("consensus N=%d", n), Cell: i, Budget: s.budget()}
 			}
 			ok := true
 			for _, out := range res.Outputs {

@@ -41,7 +41,7 @@ func TestLeaderSweepGolden(t *testing.T) {
 }
 
 func TestEstimateSweepGolden(t *testing.T) {
-	rows, err := EstimateSweep([]int{24, 32}, []int{16}, 4, 5)
+	rows, err := Sweep{}.EstimateSweep([]int{24, 32}, []int{16}, 4, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestEstimateSweepGolden(t *testing.T) {
 }
 
 func TestMajoritySweepGolden(t *testing.T) {
-	rows, err := MajoritySweep(24, []float64{0.4, 0.8}, 4, 3)
+	rows, err := Sweep{}.MajoritySweep(24, []float64{0.4, 0.8}, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestMajoritySweepGolden(t *testing.T) {
 }
 
 func TestConsensusGapGolden(t *testing.T) {
-	rows, err := ConsensusGap([]int{16}, 4, 9)
+	rows, err := Sweep{}.ConsensusGap([]int{16}, 4, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,37 +88,34 @@ func TestConsensusGapGolden(t *testing.T) {
 func TestSweepsParallelEqualSequential(t *testing.T) {
 	type sweep struct {
 		name string
-		run  func() (interface{}, error)
+		run  func(Sweep) (interface{}, error)
 	}
 	sweeps := []sweep{
-		{"GapTable", func() (interface{}, error) {
-			return GapTable([]int{24, 32, 48}, 4, 7)
+		{"GapTable", func(s Sweep) (interface{}, error) {
+			return s.GapTable([]int{24, 32, 48}, 4, 7)
 		}},
-		{"LeaderSweep", func() (interface{}, error) {
-			return LeaderSweep([]int{16, 20}, 4, 0.9, 150, 11)
+		{"LeaderSweep", func(s Sweep) (interface{}, error) {
+			return s.LeaderSweep([]int{16, 20}, 4, 0.9, 150, 11)
 		}},
-		{"EstimateSweep", func() (interface{}, error) {
-			return EstimateSweep([]int{24, 32}, []int{8, 16}, 4, 5)
+		{"EstimateSweep", func(s Sweep) (interface{}, error) {
+			return s.EstimateSweep([]int{24, 32}, []int{8, 16}, 4, 5)
 		}},
-		{"MajoritySweep", func() (interface{}, error) {
-			return MajoritySweep(24, []float64{0.4, 0.6, 0.8}, 4, 3)
+		{"MajoritySweep", func(s Sweep) (interface{}, error) {
+			return s.MajoritySweep(24, []float64{0.4, 0.6, 0.8}, 4, 3)
 		}},
-		{"ConsensusGap", func() (interface{}, error) {
-			return ConsensusGap([]int{14, 16}, 4, 9)
+		{"ConsensusGap", func(s Sweep) (interface{}, error) {
+			return s.ConsensusGap([]int{14, 16}, 4, 9)
 		}},
 	}
 	for _, s := range sweeps {
 		s := s
 		t.Run(s.name, func(t *testing.T) {
-			prev := SetSweepWorkers(1)
-			defer SetSweepWorkers(prev)
-			seq, err := s.run()
+			seq, err := s.run(Sweep{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range []int{2, 3, 16} {
-				SetSweepWorkers(w)
-				par, err := s.run()
+				par, err := s.run(Sweep{Workers: w})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}

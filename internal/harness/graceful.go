@@ -2,13 +2,11 @@ package harness
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // The graceful cell runner is the degradation-sweep counterpart of
-// forEachCell: where the clean sweeps abort on the first error (an error
+// Sweep.ForEachCell: where the clean sweeps abort on the first error (an error
 // there means the harness itself is broken), fault sweeps expect cells to
 // misbehave — a crashed protocol may panic, a heavily faulted run may
 // exceed any reasonable wall-clock budget — and one bad cell must not cost
@@ -32,13 +30,18 @@ const (
 	CellTimedOut
 )
 
-var cellOutcomeNames = [...]string{"ok", "failed", "panicked", "timed_out"}
-
 // String returns the stable wire name of the outcome ("ok", "failed",
 // "panicked", "timed_out").
 func (o CellOutcome) String() string {
-	if o >= 0 && int(o) < len(cellOutcomeNames) {
-		return cellOutcomeNames[o]
+	switch o {
+	case CellOK:
+		return "ok"
+	case CellFailed:
+		return "failed"
+	case CellPanicked:
+		return "panicked"
+	case CellTimedOut:
+		return "timed_out"
 	}
 	return "unknown"
 }
@@ -98,25 +101,20 @@ func runCellGuarded[T any](i int, fn func(i int) (T, error)) <-chan cellReply[T]
 }
 
 // gracefulCells runs fn(i) for every cell index in [0, cells) across
-// SweepWorkers goroutines, giving each cell at most budget of wall-clock
+// s.Workers goroutines, giving each cell at most budget of wall-clock
 // time (budget <= 0 means unlimited). It never fails: every cell gets a
 // CellResult, and results[i] holds fn's value exactly when outcomes[i] is
 // CellOK (the zero T otherwise). Cells must derive all randomness from
-// their index, as in forEachCell, so the values are schedule-independent;
-// only the wall-clock timeout outcome can vary between machines, which is
-// why deterministic artifacts (tables, checkpoints) record timeouts as
-// failures rather than silently re-deriving their cells.
-func gracefulCells[T any](cells int, budget time.Duration, fn func(i int) (T, error)) (results []T, outcomes []CellResult) {
+// their index, as in Sweep.ForEachCell, so the values are
+// schedule-independent; only the wall-clock timeout outcome can vary
+// between machines, which is why deterministic artifacts (tables,
+// checkpoints) record timeouts as failures rather than silently
+// re-deriving their cells. (Go methods cannot be generic, so the Sweep
+// is a parameter here.)
+func gracefulCells[T any](s Sweep, cells int, budget time.Duration, fn func(i int) (T, error)) (results []T, outcomes []CellResult) {
 	results = make([]T, cells)
 	outcomes = make([]CellResult, cells)
-	workers := SweepWorkers()
-	if workers > cells {
-		workers = cells
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	runOne := func(i int) {
+	runPool(s.workers(cells), cells, func(i int) {
 		ch := runCellGuarded(i, fn)
 		var rep cellReply[T]
 		if budget > 0 {
@@ -140,28 +138,6 @@ func gracefulCells[T any](cells int, budget time.Duration, fn func(i int) (T, er
 			results[i] = rep.val
 			outcomes[i] = CellResult{Cell: i, Outcome: CellOK}
 		}
-	}
-	if workers == 1 {
-		for i := 0; i < cells; i++ {
-			runOne(i)
-		}
-		return results, outcomes
-	}
-	next := int64(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= cells {
-					return
-				}
-				runOne(i)
-			}
-		}()
-	}
-	wg.Wait()
+	})
 	return results, outcomes
 }

@@ -12,7 +12,7 @@ import (
 // timing-out cells still runs to completion and records each outcome.
 func TestGracefulCellsAllOutcomes(t *testing.T) {
 	wantErr := errors.New("cell error")
-	results, outcomes := gracefulCells(4, 30*time.Millisecond, func(i int) (int, error) {
+	results, outcomes := gracefulCells(Sweep{Workers: 1}, 4, 30*time.Millisecond, func(i int) (int, error) {
 		switch i {
 		case 1:
 			return 0, wantErr
@@ -62,9 +62,7 @@ func TestGracefulCellsAllOutcomes(t *testing.T) {
 // same results and outcomes at every worker count.
 func TestGracefulCellsParallelEqualsSequential(t *testing.T) {
 	run := func(workers int) ([]int, []CellResult) {
-		prev := SetSweepWorkers(workers)
-		defer SetSweepWorkers(prev)
-		return gracefulCells(40, 0, func(i int) (int, error) {
+		return gracefulCells(Sweep{Workers: workers}, 40, 0, func(i int) (int, error) {
 			if i%7 == 3 {
 				return 0, errors.New("unlucky")
 			}
@@ -86,7 +84,7 @@ func TestGracefulCellsParallelEqualsSequential(t *testing.T) {
 
 // TestGracefulCellsUnlimitedBudget: budget <= 0 never times out.
 func TestGracefulCellsUnlimitedBudget(t *testing.T) {
-	_, outcomes := gracefulCells(3, 0, func(i int) (int, error) {
+	_, outcomes := gracefulCells(Sweep{}, 3, 0, func(i int) (int, error) {
 		time.Sleep(time.Millisecond)
 		return i, nil
 	})
@@ -105,19 +103,22 @@ func TestNonTerminationError(t *testing.T) {
 	}
 }
 
-func TestRoundBudget(t *testing.T) {
-	if got := RoundBudget(); got != DefaultRoundBudget {
-		t.Fatalf("default budget = %d", got)
+// TestSweepBudget: the zero Sweep (and any Budget < 1) resolves to
+// DefaultRoundBudget, a positive Budget is used as given, and a run that
+// exhausts it reports that budget in its NonTermination.
+func TestSweepBudget(t *testing.T) {
+	for _, c := range []struct{ budget, want int }{
+		{0, DefaultRoundBudget},
+		{-5, DefaultRoundBudget},
+		{1234, 1234},
+	} {
+		if got := (Sweep{Budget: c.budget}).budget(); got != c.want {
+			t.Errorf("Sweep{Budget: %d} resolves to %d, want %d", c.budget, got, c.want)
+		}
 	}
-	prev := SetRoundBudget(1234)
-	if prev != DefaultRoundBudget {
-		t.Errorf("SetRoundBudget returned %d, want previous %d", prev, DefaultRoundBudget)
-	}
-	if got := RoundBudget(); got != 1234 {
-		t.Errorf("budget = %d after set", got)
-	}
-	SetRoundBudget(0) // restore the default
-	if got := RoundBudget(); got != DefaultRoundBudget {
-		t.Errorf("budget = %d after reset", got)
+	_, err := (Sweep{Budget: 3}).LeaderReliability(16, 4, 2, nil)
+	var nt NonTermination
+	if !errors.As(err, &nt) || nt.Budget != 3 || nt.Cell != 0 {
+		t.Fatalf("LeaderReliability under Budget 3: err = %v, want NonTermination of cell 0 at budget 3", err)
 	}
 }

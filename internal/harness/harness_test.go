@@ -91,7 +91,7 @@ func TestConstructionDiameterTable(t *testing.T) {
 }
 
 func TestCFloodReductionTable(t *testing.T) {
-	rows, err := CFloodReduction([]int{25}, 2, 5)
+	rows, err := Sweep{}.CFloodReduction([]int{25}, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestCFloodReductionTable(t *testing.T) {
 }
 
 func TestConsensusReductionTable(t *testing.T) {
-	rows, err := ConsensusReduction([]int{401}, 7)
+	rows, err := Sweep{}.ConsensusReduction([]int{401}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestConsensusReductionTable(t *testing.T) {
 }
 
 func TestEstimateSweep(t *testing.T) {
-	rows, err := EstimateSweep([]int{32}, []int{24, 96}, 4, 9)
+	rows, err := Sweep{}.EstimateSweep([]int{32}, []int{24, 96}, 4, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestEstimateSweep(t *testing.T) {
 }
 
 func TestMajoritySweep(t *testing.T) {
-	rows, err := MajoritySweep(32, []float64{0.25, 0.5, 1.0}, 4, 11)
+	rows, err := Sweep{}.MajoritySweep(32, []float64{0.25, 0.5, 1.0}, 4, 11)
 	if err != nil {
 		t.Fatal(err)
 	}

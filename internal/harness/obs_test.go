@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"reflect"
+	"sync"
 	"testing"
 
 	"dyndiam/internal/obs"
@@ -15,21 +16,16 @@ import (
 // cell's content is a pure function of its parameters.
 func TestSweepMetricsParallelEqualSequential(t *testing.T) {
 	run := func(workers int) []obs.MetricPoint {
-		prev := SetSweepWorkers(workers)
-		defer SetSweepWorkers(prev)
-		EnableSweepMetrics()
-		if _, err := GapTable([]int{24, 32, 48}, 4, 7); err != nil {
+		reg := obs.NewRegistry()
+		s := Sweep{Workers: workers, Metrics: reg}
+		if _, err := s.GapTable([]int{24, 32, 48}, 4, 7); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LeaderSweep([]int{16, 20}, 4, 0.9, 150, 11); err != nil {
+		if _, err := s.LeaderSweep([]int{16, 20}, 4, 0.9, 150, 11); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := MajoritySweep(24, []float64{0.4, 0.8}, 4, 3); err != nil {
+		if _, err := s.MajoritySweep(24, []float64{0.4, 0.8}, 4, 3); err != nil {
 			t.Fatal(err)
-		}
-		reg := TakeSweepMetrics()
-		if reg == nil {
-			t.Fatal("TakeSweepMetrics returned nil after enablement")
 		}
 		return reg.Snapshot()
 	}
@@ -59,14 +55,10 @@ func TestSweepMetricsParallelEqualSequential(t *testing.T) {
 // once, so the merged registry must count exactly two fast-path runs per
 // cell.
 func TestGapTableUsesFloodFastPath(t *testing.T) {
-	EnableSweepMetrics()
+	reg := obs.NewRegistry()
 	sizes := []int{24, 32}
-	if _, err := GapTable(sizes, 4, 7); err != nil {
+	if _, err := (Sweep{Metrics: reg}).GapTable(sizes, 4, 7); err != nil {
 		t.Fatal(err)
-	}
-	reg := TakeSweepMetrics()
-	if reg == nil {
-		t.Fatal("TakeSweepMetrics returned nil after enablement")
 	}
 	if got := reg.Counter("engine_floodfast_runs_total").Value(); got != int64(2*len(sizes)) {
 		t.Fatalf("engine_floodfast_runs_total = %d, want %d", got, 2*len(sizes))
@@ -74,30 +66,36 @@ func TestGapTableUsesFloodFastPath(t *testing.T) {
 }
 
 // TestSweepMetricsDisabledByDefault pins the zero-overhead-when-off side:
-// without enablement, cells see a nil registry and TakeSweepMetrics has
-// nothing to return.
+// under the zero Sweep, cells see a nil registry, and a sweep without
+// Metrics leaves another sweep's registry untouched.
 func TestSweepMetricsDisabledByDefault(t *testing.T) {
-	if reg := TakeSweepMetrics(); reg != nil {
-		t.Fatal("sweep metrics were enabled at test start")
-	}
-	if _, err := MajoritySweep(24, []float64{0.6}, 4, 3); err != nil {
+	if err := (Sweep{}).ForEachCell(3, func(i int, reg *obs.Registry) error {
+		if reg != nil {
+			t.Errorf("cell %d got a registry under the zero Sweep", i)
+		}
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if reg := TakeSweepMetrics(); reg != nil {
-		t.Fatal("a sweep without enablement produced an aggregate")
+	reg := obs.NewRegistry()
+	if _, err := (Sweep{Metrics: reg}).MajoritySweep(24, []float64{0.6}, 4, 3); err != nil {
+		t.Fatal(err)
+	}
+	want := reg.Snapshot()
+	if _, err := (Sweep{}).MajoritySweep(24, []float64{0.6}, 4, 3); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatal("a sweep without Metrics changed another sweep's registry")
 	}
 }
 
-// TestReductionSweepMetrics checks the sequential reduction sweeps feed the
-// same aggregate, and that the result exports cleanly as Prometheus text.
+// TestReductionSweepMetrics checks the sequential reduction sweeps feed
+// Sweep.Metrics, and that the result exports cleanly as Prometheus text.
 func TestReductionSweepMetrics(t *testing.T) {
-	EnableSweepMetrics()
-	if _, err := CFloodReduction([]int{9}, 2, 3); err != nil {
+	reg := obs.NewRegistry()
+	if _, err := (Sweep{Metrics: reg}).CFloodReduction([]int{9}, 2, 3); err != nil {
 		t.Fatal(err)
-	}
-	reg := TakeSweepMetrics()
-	if reg == nil {
-		t.Fatal("no aggregate from the reduction sweep")
 	}
 	if got := reg.Counter("reduction_rounds_total").Value(); got == 0 {
 		t.Fatal("reduction recorded no rounds")
@@ -116,20 +114,14 @@ func TestReductionSweepMetrics(t *testing.T) {
 
 // TestSweepSpansParallelEqualSequential pins the span-capture counterpart:
 // the captured cell-span stream must be byte-identical at every worker
-// count because spans are appended in cell-index order after the sweep.
+// count because spans are emitted in cell-index order after the sweep.
 func TestSweepSpansParallelEqualSequential(t *testing.T) {
 	run := func(workers int) []obs.Event {
-		prev := SetSweepWorkers(workers)
-		defer SetSweepWorkers(prev)
-		EnableSweepSpans()
-		if _, err := GapTable([]int{24, 32, 48}, 4, 7); err != nil {
+		ring := obs.NewRing(64)
+		if _, err := (Sweep{Workers: workers, Spans: ring}).GapTable([]int{24, 32, 48}, 4, 7); err != nil {
 			t.Fatal(err)
 		}
-		evs := TakeSweepSpans()
-		if evs == nil {
-			t.Fatal("TakeSweepSpans returned nil after enablement")
-		}
-		return evs
+		return ring.Events()
 	}
 	seq := run(1)
 	if len(seq) != 2*3 {
@@ -155,15 +147,71 @@ func TestSweepSpansParallelEqualSequential(t *testing.T) {
 	}
 }
 
-// TestSweepSpansDisabledByDefault pins the off side of span capture.
+// TestSweepSpansDisabledByDefault pins the off side of span capture: a
+// sweep without Spans adds nothing to another sweep's sink.
 func TestSweepSpansDisabledByDefault(t *testing.T) {
-	if evs := TakeSweepSpans(); evs != nil {
-		t.Fatal("sweep spans were enabled at test start")
-	}
-	if _, err := MajoritySweep(24, []float64{0.6}, 4, 3); err != nil {
+	ring := obs.NewRing(64)
+	if _, err := (Sweep{Spans: ring}).MajoritySweep(24, []float64{0.6}, 4, 3); err != nil {
 		t.Fatal(err)
 	}
-	if evs := TakeSweepSpans(); evs != nil {
-		t.Fatal("a sweep without enablement captured spans")
+	if ring.Len() != 2 {
+		t.Fatalf("captured %d events, want one begin/end pair", ring.Len())
+	}
+	if _, err := (Sweep{}).MajoritySweep(24, []float64{0.6}, 4, 3); err != nil {
+		t.Fatal(err)
+	}
+	if ring.Len() != 2 {
+		t.Fatal("a sweep without Spans captured spans")
+	}
+}
+
+// TestConcurrentSweepsIsolated runs two sweeps side by side under
+// different Sweep values (1 vs 4 workers, each with its own registry and
+// span sink) and requires each result, metric snapshot and span stream to
+// deep-equal the same sweep run alone: concurrent sweeps share no state.
+func TestConcurrentSweepsIsolated(t *testing.T) {
+	type output struct {
+		rows    interface{}
+		metrics []obs.MetricPoint
+		spans   []obs.Event
+	}
+	sweeps := []func(Sweep) (interface{}, error){
+		func(s Sweep) (interface{}, error) { return s.GapTable([]int{24, 32, 48}, 4, 7) },
+		func(s Sweep) (interface{}, error) { return s.LeaderSweep([]int{16, 20}, 4, 0.9, 150, 11) },
+	}
+	workers := []int{1, 4}
+	run := func(i int) (output, error) {
+		reg, ring := obs.NewRegistry(), obs.NewRing(64)
+		rows, err := sweeps[i](Sweep{Workers: workers[i], Metrics: reg, Spans: ring})
+		return output{rows, reg.Snapshot(), ring.Events()}, err
+	}
+	want := make([]output, len(sweeps))
+	for i := range sweeps {
+		var err error
+		if want[i], err = run(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for rep := 0; rep < 3; rep++ {
+		got := make([]output, len(sweeps))
+		errs := make([]error, len(sweeps))
+		var wg sync.WaitGroup
+		for i := range sweeps {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				got[i], errs[i] = run(i)
+			}(i)
+		}
+		wg.Wait()
+		for i := range sweeps {
+			if errs[i] != nil {
+				t.Fatalf("sweep %d: %v", i, errs[i])
+			}
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("rep %d: sweep %d (workers %d) differs from its sequential run:\n got %+v\nwant %+v",
+					rep, i, workers[i], got[i], want[i])
+			}
+		}
 	}
 }

@@ -7,23 +7,12 @@ import (
 	"dyndiam/internal/disjcp"
 	"dyndiam/internal/dynet"
 	"dyndiam/internal/graph"
-	"dyndiam/internal/obs"
 	"dyndiam/internal/protocols/consensus"
 	"dyndiam/internal/protocols/flood"
 	"dyndiam/internal/rng"
 	"dyndiam/internal/subnet"
 	"dyndiam/internal/twoparty"
 )
-
-// reductionMetrics returns a registry for a sequential reduction sweep when
-// sweep metrics are enabled (nil otherwise); the caller merges it back with
-// mergeSweepMetrics once the sweep completes.
-func reductionMetrics() *obs.Registry {
-	if !sweepMetricsEnabled() {
-		return nil
-	}
-	return obs.NewRegistry()
-}
 
 // ReductionRow is one row of the E1/E2 reduction tables.
 type ReductionRow struct {
@@ -44,11 +33,9 @@ type ReductionRow struct {
 // the fast oracle classifies 1-instances correctly but *errs as a CFLOOD
 // protocol* on 0-instances; the safe oracle is always a correct CFLOOD
 // protocol but never terminates within the horizon.
-func CFloodReduction(qs []int, n int, seed uint64) ([]ReductionRow, error) {
+func (s Sweep) CFloodReduction(qs []int, n int, seed uint64) ([]ReductionRow, error) {
 	var rows []ReductionRow
 	src := rng.New(seed)
-	reg := reductionMetrics()
-	defer mergeSweepMetrics([]*obs.Registry{reg})
 	for _, q := range qs {
 		for _, zero := range []bool{false, true} {
 			var in disjcp.Instance
@@ -69,7 +56,7 @@ func CFloodReduction(qs []int, n int, seed uint64) ([]ReductionRow, error) {
 				{"safe(D:=N-1)", nil},
 			} {
 				setup := twoparty.FromCFlood(net, flood.CFlood{}, seed+uint64(q), oracle.extra)
-				setup.Metrics = reg
+				setup.Metrics = s.Metrics
 				res, err := twoparty.Run(setup, true)
 				if err != nil {
 					return nil, err
@@ -122,8 +109,8 @@ func FormatReductionTable(caption string, rows []ReductionRow) *Table {
 // legitimate when the network is Λ alone) decides within the horizon; on
 // 0-instances the two sides decide opposite values — an agreement
 // violation the rows report.
-func ConsensusReduction(qs []int, seed uint64) ([]ConsensusReductionRow, error) {
-	return ConsensusReductionOracle(qs, seed, nil, nil)
+func (s Sweep) ConsensusReduction(qs []int, seed uint64) ([]ConsensusReductionRow, error) {
+	return s.ConsensusReductionOracle(qs, seed, nil, nil)
 }
 
 // ConsensusReductionOracle is ConsensusReduction with a caller-chosen
@@ -132,11 +119,9 @@ func ConsensusReduction(qs []int, seed uint64) ([]ConsensusReductionRow, error) 
 // Passing consensus.ViaLeader (the paper's own Section 7 protocol) shows
 // the same dichotomy for LEADERELECT-based consensus — which is how the
 // CONSENSUS lower bound carries to LEADERELECT.
-func ConsensusReductionOracle(qs []int, seed uint64, oracle dynet.Protocol, extra map[string]int64) ([]ConsensusReductionRow, error) {
+func (s Sweep) ConsensusReductionOracle(qs []int, seed uint64, oracle dynet.Protocol, extra map[string]int64) ([]ConsensusReductionRow, error) {
 	var rows []ConsensusReductionRow
 	src := rng.New(seed)
-	reg := reductionMetrics()
-	defer mergeSweepMetrics([]*obs.Registry{reg})
 	for _, q := range qs {
 		for _, zero := range []bool{false, true} {
 			var in disjcp.Instance
@@ -158,7 +143,7 @@ func ConsensusReductionOracle(qs []int, seed uint64, oracle dynet.Protocol, extr
 				}
 			}
 			setup := twoparty.FromConsensus(net, o, seed+uint64(q), ex)
-			setup.Metrics = reg
+			setup.Metrics = s.Metrics
 			res, err := twoparty.Run(setup, true)
 			if err != nil {
 				return nil, err

@@ -29,12 +29,12 @@ func ReliabilityTrialSeed(trial int) uint64 {
 // independent public-coin seeds on a fresh low-diameter dynamic network
 // each time, and reports the empirical error rate (Theorem 8 promises
 // error <= 1/N) and the termination-round distribution.
-func LeaderReliability(n, targetDiam, trials int, extra map[string]int64) (Reliability, error) {
+func (s Sweep) LeaderReliability(n, targetDiam, trials int, extra map[string]int64) (Reliability, error) {
 	rel := Reliability{Trials: trials}
 	rounds := make([]float64, trials)
 	failed := make([]bool, trials)
-	budget := RoundBudget()
-	err := forEachCell(trials, func(trial int, reg *obs.Registry) error {
+	budget := s.budget()
+	err := s.ForEachCell(trials, func(trial int, reg *obs.Registry) error {
 		seed := ReliabilityTrialSeed(trial)
 		adv := adversaries.BoundedDiameter(n, targetDiam, n/2, seed)
 		ms := dynet.NewMachines(leader.Protocol{}, n, make([]int64, n), seed, extra)
@@ -87,16 +87,15 @@ type PhaseBreakdown struct {
 
 // LeaderPhases runs one seeded election on a low-diameter dynamic network
 // and reports its phase breakdown.
-func LeaderPhases(n, targetDiam int, seed uint64, extra map[string]int64) (PhaseBreakdown, error) {
+func (s Sweep) LeaderPhases(n, targetDiam int, seed uint64, extra map[string]int64) (PhaseBreakdown, error) {
 	adv := adversaries.BoundedDiameter(n, targetDiam, n/2, seed)
-	d, err := MeasureDynamicDiameter(
-		adversaries.BoundedDiameter(n, targetDiam, n/2, seed), n, 6*targetDiam+60)
+	d, err := boundedDiameter(n, targetDiam, seed)
 	if err != nil {
 		return PhaseBreakdown{}, err
 	}
 	ms := dynet.NewMachines(leader.Protocol{}, n, make([]int64, n), seed, extra)
 	e := &dynet.Engine{Machines: ms, Adv: adv, Workers: 1}
-	budget := RoundBudget()
+	budget := s.budget()
 	res, err := e.Run(budget)
 	if err != nil {
 		return PhaseBreakdown{}, err

@@ -11,7 +11,7 @@ func TestLeaderReliability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repeated elections are slow")
 	}
-	rel, err := LeaderReliability(20, 4, 8, nil)
+	rel, err := Sweep{}.LeaderReliability(20, 4, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestLeaderReliability(t *testing.T) {
 func TestConsensusReductionOracleCustom(t *testing.T) {
 	// The generalized entry point with an explicit oracle must behave
 	// like the default when given the same configuration.
-	rows, err := ConsensusReductionOracle([]int{201}, 3,
+	rows, err := Sweep{}.ConsensusReductionOracle([]int{201}, 3,
 		consensus.KnownD{}, map[string]int64{consensus.ExtraRounds: 75})
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestConsensusReductionOracleCustom(t *testing.T) {
 }
 
 func TestLeaderPhases(t *testing.T) {
-	pb, err := LeaderPhases(20, 4, 5, nil)
+	pb, err := Sweep{}.LeaderPhases(20, 4, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@ import "go/ast"
 // SearchDeterminism extends the strict determinism contract to the
 // adversary-synthesis layer (internal/advsearch). A search result is a
 // reproducibility contract three times over: the golden tests pin
-// byte-identical reports across SweepWorkers settings, checkpoints
+// byte-identical reports across Sweep.Workers settings, checkpoints
 // resume onto the identical result, and every corpus entry records the
 // exact seeds that re-derive its hardness bit for bit. All three break
 // the moment a candidate, a dedupe decision, or a progress callback

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dyndiam/internal/harness"
 )
 
 // TestDrainSubmitRaceNoLostJobs pins the drain-vs-submit contract under
@@ -20,7 +22,7 @@ func TestDrainSubmitRaceNoLostJobs(t *testing.T) {
 	for iter := 0; iter < 6; iter++ {
 		iter := iter
 		t.Run(fmt.Sprintf("iter%d", iter), func(t *testing.T) {
-			exec := func(Kind, Params) ([]byte, error) {
+			exec := func(harness.Sweep, Kind, Params) ([]byte, error) {
 				time.Sleep(time.Millisecond)
 				return []byte(`{"ok":true}` + "\n"), nil
 			}

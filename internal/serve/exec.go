@@ -49,14 +49,15 @@ func normalizeSpecs(p Params) ([]faults.Spec, error) {
 	return specs, nil
 }
 
-// run executes one normalized job against the harness and marshals the
-// Result envelope. It is the Server's default exec hook; tests swap in
-// stubs to drive the scheduling machinery without paying for sweeps.
-func run(kind Kind, p Params) ([]byte, error) {
+// run executes one normalized job against the harness under sw and
+// marshals the Result envelope. It is the Server's default exec hook;
+// tests swap in stubs to drive the scheduling machinery without paying
+// for sweeps.
+func run(sw harness.Sweep, kind Kind, p Params) ([]byte, error) {
 	res := Result{Kind: kind, Params: p}
 	switch kind {
 	case KindLeaderReliability:
-		rel, err := harness.LeaderReliability(p.N, p.TargetDiam, p.Trials, nil)
+		rel, err := sw.LeaderReliability(p.N, p.TargetDiam, p.Trials, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -74,10 +75,10 @@ func run(kind Kind, p Params) ([]byte, error) {
 		var rows []harness.DegradationRow
 		var name string
 		if kind == KindLeaderDegradation {
-			rows, err = harness.LeaderDegradation(cfg)
+			rows, err = sw.LeaderDegradation(cfg)
 			name = "LEADER"
 		} else {
-			rows, err = harness.CFloodDegradation(cfg)
+			rows, err = sw.CFloodDegradation(cfg)
 			name = "CFLOOD"
 		}
 		if err != nil {
@@ -86,21 +87,21 @@ func run(kind Kind, p Params) ([]byte, error) {
 		res.Table = harness.FormatDegradationTable(name, rows).String()
 		res.Data = harness.DegradationRowsJSON(rows)
 	case KindGapTable:
-		rows, err := harness.GapTable(p.Sizes, p.TargetDiam, p.Seed)
+		rows, err := sw.GapTable(p.Sizes, p.TargetDiam, p.Seed)
 		if err != nil {
 			return nil, err
 		}
 		res.Table = harness.FormatGapTable(rows).String()
 		res.Data = rows
 	case KindReduction:
-		rows, err := harness.CFloodReduction(p.Qs, p.N, p.Seed)
+		rows, err := sw.CFloodReduction(p.Qs, p.N, p.Seed)
 		if err != nil {
 			return nil, err
 		}
 		res.Table = harness.FormatReductionTable("E1 reduction", rows).String()
 		res.Data = rows
 	case KindAdvSearch:
-		rep, err := advsearch.Search(advSearchConfig(p), nil, advsearch.Options{})
+		rep, err := advsearch.Search(advSearchConfig(p), nil, advsearch.Options{Sweep: sw})
 		if err != nil {
 			return nil, err
 		}

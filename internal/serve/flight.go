@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"dyndiam/internal/harness"
 	"dyndiam/internal/obs"
 )
 
@@ -18,9 +17,10 @@ import (
 // "execute", start -> terminal status) sit on a milliseconds-since-server-
 // start clock, the one layer of the repo allowed to read wall time (under
 // the servedeterminism lint-allow framework). When Config.CaptureSweepSpans
-// is set, the harness's sweep-cell spans (Track 1, cell-index clock) are
-// folded in as well, so one Perfetto load shows queue-wait -> execution ->
-// per-cell activity on separate track lanes.
+// is set, the recorder is also the job's harness.Sweep.Spans sink, so the
+// sweep-cell spans (Track 1, cell-index clock) land in it as well and one
+// Perfetto load shows queue-wait -> execution -> per-cell activity on
+// separate track lanes.
 
 // Interned span names of the job lifecycle lane (Track 2).
 var (
@@ -33,11 +33,15 @@ var (
 const jobTrack = 2
 
 // flightRecorder captures one entry's event history. Emissions come from
-// the submitting HTTP goroutine and the worker goroutine, so the ring is
-// guarded by its own mutex (obs.Ring itself is single-goroutine).
+// the submitting HTTP goroutine, the worker goroutine and the job's sweep,
+// so the ring is guarded by its own mutex (obs.Ring itself is
+// single-goroutine). Once the job is terminal the recorder is closed and
+// drops further emissions: a sweep abandoned by the job budget that
+// finishes late must not write spans after the job's execute end.
 type flightRecorder struct {
 	mu      sync.Mutex
 	ring    *obs.Ring
+	closed  bool
 	metrics []obs.MetricPoint // server metric snapshot at terminal status
 }
 
@@ -45,27 +49,23 @@ func newFlightRecorder(cap int) *flightRecorder {
 	return &flightRecorder{ring: obs.NewRing(cap)}
 }
 
-// emit appends one event to the bounded ring.
-func (f *flightRecorder) emit(ev obs.Event) {
+// Emit appends one event to the bounded ring unless the recorder is
+// closed. It makes the recorder an obs.Sink.
+func (f *flightRecorder) Emit(ev obs.Event) {
 	f.mu.Lock()
-	f.ring.Emit(ev)
-	f.mu.Unlock()
-}
-
-// emitAll folds a captured event stream (e.g. the harness's sweep spans)
-// into the ring.
-func (f *flightRecorder) emitAll(evs []obs.Event) {
-	f.mu.Lock()
-	for _, ev := range evs {
+	if !f.closed {
 		f.ring.Emit(ev)
 	}
 	f.mu.Unlock()
 }
 
-// finish stores the terminal metric snapshot.
-func (f *flightRecorder) finish(metrics []obs.MetricPoint) {
+// finish appends the terminal event, stores the terminal metric snapshot
+// and closes the recorder, all under one lock.
+func (f *flightRecorder) finish(end obs.Event, metrics []obs.MetricPoint) {
 	f.mu.Lock()
+	f.ring.Emit(end)
 	f.metrics = metrics
+	f.closed = true
 	f.mu.Unlock()
 }
 
@@ -90,7 +90,7 @@ func (s *Server) recordQueued(e *entry) {
 	if e.flight == nil {
 		return
 	}
-	e.flight.emit(obs.Event{Kind: obs.KindSpanBegin, Round: s.nowMs(), Track: jobTrack, A: -1, Name: keyQueueWait})
+	e.flight.Emit(obs.Event{Kind: obs.KindSpanBegin, Round: s.nowMs(), Track: jobTrack, A: -1, Name: keyQueueWait})
 }
 
 // recordRunning closes queue_wait and opens execute.
@@ -99,36 +99,20 @@ func (s *Server) recordRunning(e *entry) {
 		return
 	}
 	t := s.nowMs()
-	e.flight.emit(obs.Event{Kind: obs.KindSpanEnd, Round: t, Track: jobTrack, A: -1, Name: keyQueueWait})
-	e.flight.emit(obs.Event{Kind: obs.KindSpanBegin, Round: t, Track: jobTrack, A: -1, Name: keyExecute})
+	e.flight.Emit(obs.Event{Kind: obs.KindSpanEnd, Round: t, Track: jobTrack, A: -1, Name: keyQueueWait})
+	e.flight.Emit(obs.Event{Kind: obs.KindSpanBegin, Round: t, Track: jobTrack, A: -1, Name: keyExecute})
 }
 
-// recordTerminal closes the execute span (A = 0 done, 1 failed), folds in
-// any captured sweep spans, and stores the terminal metric snapshot.
-func (s *Server) recordTerminal(e *entry, failed bool, sweepSpans []obs.Event) {
+// recordTerminal closes the execute span (A = 0 done, 1 failed), stores
+// the terminal metric snapshot, and closes the recorder.
+func (s *Server) recordTerminal(e *entry, failed bool) {
 	if e.flight == nil {
 		return
-	}
-	if len(sweepSpans) > 0 {
-		e.flight.emitAll(sweepSpans)
 	}
 	outcome := int64(0)
 	if failed {
 		outcome = 1
 	}
-	e.flight.emit(obs.Event{Kind: obs.KindSpanEnd, Round: s.nowMs(), Track: jobTrack, A: outcome, Name: keyExecute})
-	e.flight.finish(s.MetricsRegistry().Snapshot())
-}
-
-// captureSweepSpans wraps one exec call with harness sweep-span capture.
-// The harness's capture buffer is process-global, so capturing jobs are
-// serialized under execSerial — CaptureSweepSpans is a debugging mode that
-// trades job concurrency for per-cell visibility; leave it off on
-// throughput-serving instances.
-func (s *Server) captureSweepSpans(kind Kind, p Params) ([]byte, error, []obs.Event) {
-	s.execSerial.Lock()
-	defer s.execSerial.Unlock()
-	harness.EnableSweepSpans()
-	body, err := s.execGuarded(kind, p)
-	return body, err, harness.TakeSweepSpans()
+	e.flight.finish(obs.Event{Kind: obs.KindSpanEnd, Round: s.nowMs(), Track: jobTrack, A: outcome, Name: keyExecute},
+		s.MetricsRegistry().Snapshot())
 }

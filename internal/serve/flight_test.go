@@ -3,10 +3,14 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"dyndiam/internal/harness"
 	"dyndiam/internal/obs"
@@ -147,7 +151,7 @@ func TestFlightRecorderFailedJob(t *testing.T) {
 	t.Parallel()
 	s, ts := newHTTPServer(t, Config{
 		Workers: 1,
-		Exec: func(Kind, Params) ([]byte, error) {
+		Exec: func(harness.Sweep, Kind, Params) ([]byte, error) {
 			return nil, errors.New("synthetic sweep failure")
 		},
 	})
@@ -226,13 +230,13 @@ func TestFlightRecorderUnknownKey(t *testing.T) {
 
 func TestFlightRecorderCaptureSweepSpans(t *testing.T) {
 	t.Parallel()
-	// The stub runs a real two-cell harness sweep so the capture window
-	// opened by captureSweepSpans has cells to record.
+	// The stub runs a real two-cell harness sweep under the job's Sweep,
+	// whose Spans sink is the job's flight recorder.
 	s, ts := newHTTPServer(t, Config{
 		Workers:           1,
 		CaptureSweepSpans: true,
-		Exec: func(kind Kind, p Params) ([]byte, error) {
-			if _, err := harness.GapTable([]int{8, 12}, 2, 5); err != nil {
+		Exec: func(sw harness.Sweep, kind Kind, p Params) ([]byte, error) {
+			if _, err := sw.GapTable([]int{8, 12}, 2, 5); err != nil {
 				return nil, err
 			}
 			return stubBody(kind, p), nil
@@ -269,5 +273,151 @@ func TestFlightRecorderCaptureSweepSpans(t *testing.T) {
 	last := dump.Events[len(dump.Events)-1]
 	if last.Name != "execute" || last.Kind != "span_end" {
 		t.Errorf("newest event = %+v, want the terminal execute span_end", last)
+	}
+}
+
+// sweepLane returns the sweep-cell (Track 1) events of a recording.
+func sweepLane(evs []flightEventJSON) []flightEventJSON {
+	var out []flightEventJSON
+	for _, ev := range evs {
+		if ev.Track == 1 {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// directGapSpans runs the gap table of a normalized job outside the
+// server and returns the cell spans the sweep emits on its own.
+func directGapSpans(t *testing.T, p Params) []flightEventJSON {
+	t.Helper()
+	ring := obs.NewRing(64)
+	if _, err := (harness.Sweep{Spans: ring}).GapTable(p.Sizes, p.TargetDiam, p.Seed); err != nil {
+		t.Fatal(err)
+	}
+	return flightEventsJSON(ring.Events())
+}
+
+// TestCaptureSweepSpansConcurrentServers runs a capturing server next to
+// two non-capturing ones, all executing real gap_table sweeps at once,
+// with several capturing jobs in flight together. Every capturing job's
+// recording must hold exactly the cell spans its own sweep emits when run
+// alone: nothing from its neighbours on the same server or on the others.
+func TestCaptureSweepSpansConcurrentServers(t *testing.T) {
+	t.Parallel()
+	capturing := newStubServer(t, Config{Workers: 3, CaptureSweepSpans: true, Exec: run})
+	ts := httptest.NewServer(capturing.Handler())
+	t.Cleanup(ts.Close)
+	servers := []*Server{
+		capturing,
+		newStubServer(t, Config{Workers: 2, Exec: run}),
+		newStubServer(t, Config{Workers: 2, Exec: run}),
+	}
+	// Jobs differ in cell count so a foreign cell changes the recording.
+	sizes := [][]int{{8}, {8, 12}, {8, 12, 16}}
+	keys := make([][]string, len(servers))
+	errs := make(chan error, len(servers))
+	var wg sync.WaitGroup
+	for si, srv := range servers {
+		wg.Add(1)
+		go func(si int, srv *Server) {
+			defer wg.Done()
+			for j := 0; j < 6; j++ {
+				p := Params{Sizes: sizes[j%len(sizes)], TargetDiam: 2, Seed: uint64(10*si + j + 1)}
+				v, _, err := srv.Submit(KindGapTable, p)
+				if err != nil {
+					errs <- err
+					return
+				}
+				keys[si] = append(keys[si], v.Key)
+			}
+			for _, key := range keys[si] {
+				if _, v, _ := srv.Wait(key); v.Status != StatusDone {
+					errs <- fmt.Errorf("server %d job %s: %+v", si, key, v)
+					return
+				}
+			}
+		}(si, srv)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for _, key := range keys[0] {
+		dump := getDebugDump(t, ts, key)
+		want := directGapSpans(t, dump.Job.Params)
+		if got := sweepLane(dump.Events); !reflect.DeepEqual(got, want) {
+			t.Errorf("job %s (sizes %v) recorded sweep events\n %+v\nwant its own cells\n %+v",
+				key, dump.Job.Params.Sizes, got, want)
+		}
+		if len(dump.Events) != 4+len(want) {
+			t.Errorf("job %s: %d events, want 4 lifecycle + %d sweep", key, len(dump.Events), len(want))
+		}
+	}
+}
+
+// TestCaptureSweepSpansAbandonedJob: a capturing job abandoned by its job
+// budget whose sweep finishes later, while another capturing job is
+// executing, must leave no sweep_cell event after its own execute end, and
+// none of its spans may reach the other job's recording. The two jobs run
+// on separate servers so only the first one has a budget.
+func TestCaptureSweepSpansAbandonedJob(t *testing.T) {
+	t.Parallel()
+	release := make(chan struct{})
+	lateDone := make(chan struct{})
+	slowSrv, slowTS := newHTTPServer(t, Config{
+		Workers:           1,
+		JobBudget:         20 * time.Millisecond,
+		CaptureSweepSpans: true,
+		Exec: func(sw harness.Sweep, kind Kind, p Params) ([]byte, error) {
+			// The sweep starts only after the budget abandoned the job,
+			// once the other job is executing.
+			<-release
+			defer close(lateDone)
+			if _, err := sw.GapTable([]int{8, 12}, 2, 5); err != nil {
+				return nil, err
+			}
+			return stubBody(kind, p), nil
+		},
+	})
+	nextSrv, nextTS := newHTTPServer(t, Config{
+		Workers:           1,
+		CaptureSweepSpans: true,
+		Exec: func(sw harness.Sweep, kind Kind, p Params) ([]byte, error) {
+			close(release)
+			<-lateDone
+			if _, err := sw.GapTable([]int{8, 12}, 2, 5); err != nil {
+				return nil, err
+			}
+			return stubBody(kind, p), nil
+		},
+	})
+	slow := submitAndWait(t, slowSrv, slowTS, `{"kind":"figure","params":{"figure":1}}`)
+	next := submitAndWait(t, nextSrv, nextTS, `{"kind":"figure","params":{"figure":1}}`)
+
+	dump := getDebugDump(t, slowTS, slow)
+	if dump.Job.Status != StatusFailed || !strings.Contains(dump.Job.Err, "exceeded budget") {
+		t.Fatalf("slow job = %+v, want failed by the job budget", dump.Job)
+	}
+	ended := false
+	for _, ev := range dump.Events {
+		if ev.Name == "execute" && ev.Kind == "span_end" {
+			ended = true
+		} else if ended && ev.Name == "sweep_cell" {
+			t.Errorf("abandoned job recorded %+v after its execute end", ev)
+		}
+	}
+	if !ended {
+		t.Fatalf("abandoned job has no execute end: %+v", dump.Events)
+	}
+
+	dump = getDebugDump(t, nextTS, next)
+	if dump.Job.Status != StatusDone {
+		t.Fatalf("next job = %+v, want done", dump.Job)
+	}
+	want := directGapSpans(t, Params{Sizes: []int{8, 12}, TargetDiam: 2, Seed: 5})
+	if got := sweepLane(dump.Events); !reflect.DeepEqual(got, want) {
+		t.Errorf("next job recorded sweep events\n %+v\nwant only its own cells\n %+v", got, want)
 	}
 }

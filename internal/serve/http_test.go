@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dyndiam/internal/harness"
 )
 
 func newHTTPServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -162,7 +164,7 @@ func TestHTTPBackpressure429(t *testing.T) {
 		Workers:       1,
 		QueueCap:      1,
 		RetryAfterSec: 7,
-		Exec: func(kind Kind, p Params) ([]byte, error) {
+		Exec: func(_ harness.Sweep, kind Kind, p Params) ([]byte, error) {
 			started <- struct{}{}
 			<-release
 			return stubBody(kind, p), nil
@@ -206,7 +208,7 @@ func TestHTTPSingleflightRace(t *testing.T) {
 	const k = 64
 	s, ts := newHTTPServer(t, Config{
 		Workers: 4,
-		Exec: func(kind Kind, p Params) ([]byte, error) {
+		Exec: func(_ harness.Sweep, kind Kind, p Params) ([]byte, error) {
 			time.Sleep(20 * time.Millisecond)
 			return stubBody(kind, p), nil
 		},
@@ -341,7 +343,7 @@ func TestHTTPDrainOrdering(t *testing.T) {
 	s, ts := newHTTPServer(t, Config{
 		Workers:  1,
 		QueueCap: 8,
-		Exec: func(kind Kind, p Params) ([]byte, error) {
+		Exec: func(_ harness.Sweep, kind Kind, p Params) ([]byte, error) {
 			started <- kind
 			<-gate
 			return stubBody(kind, p), nil

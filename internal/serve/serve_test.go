@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dyndiam/internal/cliutil"
+	"dyndiam/internal/harness"
 )
 
 // stubBody is what the stub executors below return; distinct per params
@@ -21,7 +22,7 @@ func stubBody(kind Kind, p Params) []byte {
 func newStubServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	if cfg.Exec == nil {
-		cfg.Exec = func(kind Kind, p Params) ([]byte, error) {
+		cfg.Exec = func(_ harness.Sweep, kind Kind, p Params) ([]byte, error) {
 			return stubBody(kind, p), nil
 		}
 	}
@@ -155,7 +156,7 @@ func TestQueueFullRejectsWithoutBlocking(t *testing.T) {
 	s := newStubServer(t, Config{
 		Workers:  1,
 		QueueCap: 1,
-		Exec: func(kind Kind, p Params) ([]byte, error) {
+		Exec: func(_ harness.Sweep, kind Kind, p Params) ([]byte, error) {
 			started <- struct{}{}
 			<-release
 			return stubBody(kind, p), nil
@@ -206,7 +207,7 @@ func TestSingleflightStress(t *testing.T) {
 	var execs atomic.Int64
 	s := newStubServer(t, Config{
 		Workers: 4,
-		Exec: func(kind Kind, p Params) ([]byte, error) {
+		Exec: func(_ harness.Sweep, kind Kind, p Params) ([]byte, error) {
 			execs.Add(1)
 			time.Sleep(20 * time.Millisecond) // hold the entry in-flight across submissions
 			return stubBody(kind, p), nil
@@ -268,7 +269,7 @@ func TestJobBudgetDegradesToRecordedError(t *testing.T) {
 	s := newStubServer(t, Config{
 		Workers:   1,
 		JobBudget: 20 * time.Millisecond,
-		Exec: func(kind Kind, p Params) ([]byte, error) {
+		Exec: func(_ harness.Sweep, kind Kind, p Params) ([]byte, error) {
 			<-hung // never returns within the budget
 			return nil, errors.New("unreachable")
 		},
@@ -300,7 +301,7 @@ func TestJobBudgetDegradesToRecordedError(t *testing.T) {
 func TestPanicDegradesToRecordedError(t *testing.T) {
 	t.Parallel()
 	s := newStubServer(t, Config{
-		Exec: func(Kind, Params) ([]byte, error) {
+		Exec: func(harness.Sweep, Kind, Params) ([]byte, error) {
 			var rows []int
 			_ = rows[3] // out-of-range panic, as a buggy sweep would
 			return nil, nil
@@ -319,7 +320,7 @@ func TestPanicDegradesToRecordedError(t *testing.T) {
 func TestExecErrorRecorded(t *testing.T) {
 	t.Parallel()
 	s := newStubServer(t, Config{
-		Exec: func(Kind, Params) ([]byte, error) {
+		Exec: func(harness.Sweep, Kind, Params) ([]byte, error) {
 			return nil, errors.New("sweep exploded")
 		},
 	})
@@ -363,7 +364,7 @@ func TestPreloadRoundtrip(t *testing.T) {
 
 	// A fresh server preloads the checkpoint and serves it from cache.
 	var execs atomic.Int64
-	s2 := newStubServer(t, Config{Exec: func(kind Kind, p Params) ([]byte, error) {
+	s2 := newStubServer(t, Config{Exec: func(_ harness.Sweep, kind Kind, p Params) ([]byte, error) {
 		execs.Add(1)
 		return stubBody(kind, p), nil
 	}})

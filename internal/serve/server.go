@@ -28,7 +28,7 @@ import (
 	"sync"
 	"time"
 
-	"dyndiam/internal/obs"
+	"dyndiam/internal/harness"
 )
 
 // ErrDraining is returned by Submit for new work while the server is
@@ -61,17 +61,21 @@ type Config struct {
 	// RetryAfterSec is the Retry-After hint on 429 responses (default 1).
 	RetryAfterSec int
 	// Exec overrides the harness executor — tests stub it to drive the
-	// scheduling machinery without running sweeps. Default: run.
-	Exec func(Kind, Params) ([]byte, error)
+	// scheduling machinery without running sweeps. It receives the job's
+	// sweep options (see RoundBudget and CaptureSweepSpans). Default: run.
+	Exec func(harness.Sweep, Kind, Params) ([]byte, error)
 	// FlightRecorderCap bounds each job's flight-recorder event ring
 	// (default 512 events; the oldest events drop first). Negative
 	// disables per-job recording entirely.
 	FlightRecorderCap int
 	// CaptureSweepSpans folds the harness's per-cell sweep spans into
-	// each job's flight recorder. The capture buffer is process-global,
-	// so this serializes job execution — a debugging mode for inspecting
-	// one job's cells in Perfetto, not a throughput-serving setting.
+	// each job's flight recorder (the job's harness.Sweep.Spans), so a
+	// Perfetto load of the job trace shows its cells. Jobs run
+	// concurrently, each capturing into its own recorder.
 	CaptureSweepSpans bool
+	// RoundBudget caps the rounds of each open-ended harness run (the
+	// job's harness.Sweep.Budget); < 1 means harness.DefaultRoundBudget.
+	RoundBudget int
 }
 
 // entry is one cache slot: the single authority for a content key. All
@@ -106,7 +110,7 @@ func (e *entry) view() JobView {
 // cache. Create with New, serve its Handler, stop with Close.
 type Server struct {
 	cfg  Config
-	exec func(Kind, Params) ([]byte, error)
+	exec func(harness.Sweep, Kind, Params) ([]byte, error)
 
 	mu    sync.Mutex
 	cache map[string]*entry
@@ -124,9 +128,6 @@ type Server struct {
 
 	// start anchors the flight recorders' milliseconds clock.
 	start time.Time
-	// execSerial serializes job execution when CaptureSweepSpans is set
-	// (the harness's span-capture buffer is process-global).
-	execSerial sync.Mutex
 
 	m metrics
 }
@@ -346,14 +347,11 @@ func (s *Server) runJob(e *entry) {
 	s.m.executions.Add(1)
 	s.recordRunning(e)
 	start := time.Now() //lint:allow servedeterminism job latency metric, never observed by experiment code
-	var body []byte
-	var err error
-	var sweepSpans []obs.Event
-	if s.cfg.CaptureSweepSpans {
-		body, err, sweepSpans = s.captureSweepSpans(e.kind, e.params)
-	} else {
-		body, err = s.execGuarded(e.kind, e.params)
+	sw := harness.Sweep{Budget: s.cfg.RoundBudget}
+	if s.cfg.CaptureSweepSpans && e.flight != nil {
+		sw.Spans = e.flight
 	}
+	body, err := s.execGuarded(sw, e.kind, e.params)
 	s.m.lat.observe(time.Since(start).Milliseconds()) //lint:allow servedeterminism job latency metric, never observed by experiment code
 	s.mu.Lock()
 	if err != nil {
@@ -368,7 +366,7 @@ func (s *Server) runJob(e *entry) {
 	// The terminal record is written after the status flip so the dumped
 	// metric snapshot reflects the finished job, and before done is closed
 	// so a Wait that returns always finds that snapshot.
-	s.recordTerminal(e, err != nil, sweepSpans)
+	s.recordTerminal(e, err != nil)
 	close(e.done)
 }
 
@@ -378,7 +376,7 @@ func (s *Server) runJob(e *entry) {
 // garbage collected) so one hung sweep degrades to a recorded failure
 // instead of wedging a worker forever. Same containment pattern as the
 // harness's graceful cell runner.
-func (s *Server) execGuarded(kind Kind, p Params) (body []byte, err error) {
+func (s *Server) execGuarded(sw harness.Sweep, kind Kind, p Params) (body []byte, err error) {
 	type reply struct {
 		body []byte
 		err  error
@@ -390,7 +388,7 @@ func (s *Server) execGuarded(kind Kind, p Params) (body []byte, err error) {
 				ch <- reply{nil, fmt.Errorf("serve: job %s panicked: %v", kind, r)}
 			}
 		}()
-		b, e := s.exec(kind, p)
+		b, e := s.exec(sw, kind, p)
 		ch <- reply{b, e}
 	}()
 	if s.cfg.JobBudget <= 0 {
