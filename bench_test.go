@@ -268,7 +268,6 @@ func BenchmarkAblationSendProbability(b *testing.B) {
 				eng := &dyndiam.Engine{
 					Machines: ms,
 					Adv:      dyndiam.RandomConnectedAdversary(n, n, uint64(i)),
-					Workers:  1,
 					Terminated: func(all []dyndiam.Machine) bool {
 						for _, m := range all {
 							if !dyndiam.Informed(m) {
@@ -302,7 +301,6 @@ func BenchmarkAblationTwoStageLocking(b *testing.B) {
 				eng := &dyndiam.Engine{
 					Machines: ms,
 					Adv:      dyndiam.StaticAdversary(dyndiam.Line(n)),
-					Workers:  1,
 				}
 				res, err := eng.Run(10_000_000)
 				if err != nil || !res.Done {
@@ -315,30 +313,28 @@ func BenchmarkAblationTwoStageLocking(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationEngineParallel compares the sequential and goroutine-
-// parallel round engines on the same workload.
+// BenchmarkAblationEngineParallel runs the ring flood on the message path,
+// one goroutine stepping every machine. Its workers=1 name is kept so
+// earlier recorded figures stay comparable.
 func BenchmarkAblationEngineParallel(b *testing.B) {
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(benchName("workers", int64(workers)), func(b *testing.B) {
-			const n = 1024
-			g := dyndiam.Ring(n)
-			for i := 0; i < b.N; i++ {
-				inputs := make([]int64, n)
-				inputs[0] = 1
-				ms := dyndiam.NewMachines(dyndiam.CFlood{}, n, inputs, uint64(i),
-					map[string]int64{dyndiam.ExtraDiameter: n / 2})
-				eng := &dyndiam.Engine{
-					Machines:   ms,
-					Adv:        dyndiam.StaticAdversary(g),
-					Workers:    workers,
-					Terminated: dyndiam.NodeDecided(0),
-				}
-				if _, err := eng.Run(n); err != nil {
-					b.Fatal(err)
-				}
+	b.Run(benchName("workers", 1), func(b *testing.B) {
+		const n = 1024
+		g := dyndiam.Ring(n)
+		for i := 0; i < b.N; i++ {
+			inputs := make([]int64, n)
+			inputs[0] = 1
+			ms := dyndiam.NewMachines(dyndiam.CFlood{}, n, inputs, uint64(i),
+				map[string]int64{dyndiam.ExtraDiameter: n / 2})
+			eng := &dyndiam.Engine{
+				Machines:   ms,
+				Adv:        dyndiam.StaticAdversary(g),
+				Terminated: dyndiam.NodeDecided(0),
 			}
-		})
-	}
+			if _, err := eng.Run(n); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func benchName(key string, v int64) string {
@@ -413,7 +409,7 @@ func BenchmarkTraceRoundTrip(b *testing.B) {
 		map[string]int64{dyndiam.ExtraDiameter: n - 1})
 	tr := &dyndiam.Trace{KeepTopologies: true}
 	eng := &dyndiam.Engine{Machines: ms, Adv: dyndiam.StaticAdversary(dyndiam.Ring(n)),
-		Workers: 1, Trace: tr, Terminated: dyndiam.NodeDecided(0)}
+		Trace: tr, Terminated: dyndiam.NodeDecided(0)}
 	if _, err := eng.Run(2 * n); err != nil {
 		b.Fatal(err)
 	}

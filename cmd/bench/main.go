@@ -199,7 +199,6 @@ func workloads(short bool) []struct {
 				eng := &dyndiam.Engine{
 					Machines: ms,
 					Adv:      dyndiam.StaticAdversary(g),
-					Workers:  1,
 				}
 				res, err := eng.RunFlood(2*ringN, dyndiam.FloodStopNode(0))
 				if err != nil {
@@ -226,7 +225,6 @@ func workloads(short bool) []struct {
 				eng := &dyndiam.Engine{
 					Machines:   ms,
 					Adv:        dyndiam.StaticAdversary(g),
-					Workers:    1,
 					Terminated: dyndiam.NodeDecided(0),
 				}
 				res, err := eng.Run(2 * ringN)
@@ -258,7 +256,6 @@ func workloads(short bool) []struct {
 				eng := &dyndiam.Engine{
 					Machines: ms,
 					Adv:      dyndiam.DeltaChurnAdversary(hugeN, hugeN/8, hugeN/64, uint64(i)),
-					Workers:  1,
 				}
 				res, err := eng.RunFlood(2*hugeD, dyndiam.FloodStopNode(0))
 				if err != nil {
@@ -294,7 +291,6 @@ func workloads(short bool) []struct {
 				eng := &dyndiam.Engine{
 					Machines:   ms,
 					Adv:        dyndiam.StaticAdversary(g),
-					Workers:    1,
 					Terminated: dyndiam.NodeDecided(0),
 					Obs:        sink,
 					Metrics:    dyndiam.NewMetricsRegistry(),
@@ -331,7 +327,6 @@ func workloads(short bool) []struct {
 				eng := &dyndiam.Engine{
 					Machines: ms,
 					Adv:      dyndiam.StaticAdversary(g),
-					Workers:  1,
 					Obs:      sink,
 					Metrics:  reg,
 				}

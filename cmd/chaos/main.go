@@ -434,8 +434,7 @@ func runReplay(opts options) error {
 	reg := dyndiam.NewMetricsRegistry()
 	ms := dyndiam.NewMachines(proto, opts.n, inputs, trialSeed, nil)
 	e := &dyndiam.Engine{
-		Machines: ms, Adv: adv, Workers: 1,
-		Obs: ring, Metrics: reg, Plan: plan, Terminated: terminated,
+		Machines: ms, Adv: adv, Obs: ring, Metrics: reg, Plan: plan, Terminated: terminated,
 	}
 	// The sweep runs every trial in a guarded cell, so a trial recorded
 	// as "panicked" is one whose protocol panics under these faults —

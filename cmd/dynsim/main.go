@@ -41,7 +41,6 @@ func main() {
 		cmil      = flag.Int("c", 200, "N'-accuracy margin c in thousandths")
 		seed      = flag.Uint64("seed", 1, "public-coin seed")
 		maxRounds = flag.Int("rounds", 50000000, "round budget")
-		workers   = flag.Int("workers", 0, "engine workers (0 = GOMAXPROCS, 1 = sequential)")
 		traceOut  = flag.String("trace-out", "", "record the execution trace (with topologies) to this file")
 		traceIn   = flag.String("trace-in", "", "analyze a recorded trace instead of running anything")
 
@@ -136,7 +135,6 @@ func main() {
 	eng := &dyndiam.Engine{
 		Machines:          ms,
 		Adv:               adv,
-		Workers:           *workers,
 		CheckConnectivity: true,
 		Terminated:        term,
 		ObsRoundStride:    *obsStride,

@@ -94,7 +94,7 @@ func observedRun(n, targetDiam int, factor float64, cmil int64, seed uint64, ski
 		adv = dyndiam.StaticAdversary(dyndiam.Line(n))
 	}
 	ms := dyndiam.NewMachines(dyndiam.LeaderElect{Obs: ring}, n, make([]int64, n), seed, extra)
-	eng := &dyndiam.Engine{Machines: ms, Adv: adv, Workers: 1, Obs: ring, Metrics: metrics}
+	eng := &dyndiam.Engine{Machines: ms, Adv: adv, Obs: ring, Metrics: metrics}
 	res, err := eng.Run(dyndiam.DefaultRoundBudget)
 	if err != nil {
 		return err

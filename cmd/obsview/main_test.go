@@ -15,7 +15,7 @@ func captureRun(t *testing.T, seed uint64) []dyndiam.ObsEvent {
 	ring := dyndiam.NewObsRing(1 << 16)
 	adv := dyndiam.BoundedDiameterAdversary(n, 4, n/2, seed)
 	ms := dyndiam.NewMachines(dyndiam.LeaderElect{Obs: ring}, n, make([]int64, n), seed, nil)
-	eng := &dyndiam.Engine{Machines: ms, Adv: adv, Workers: 1, Obs: ring}
+	eng := &dyndiam.Engine{Machines: ms, Adv: adv, Obs: ring}
 	if _, err := eng.Run(1 << 20); err != nil {
 		t.Fatal(err)
 	}

@@ -156,7 +156,6 @@ func TestProtocolAdversaryMatrix(t *testing.T) {
 				eng := &dyndiam.Engine{
 					Machines:          ms,
 					Adv:               fam.mk(seed),
-					Workers:           1,
 					CheckConnectivity: true,
 					Terminated:        p.term,
 				}

@@ -27,12 +27,24 @@ func RandomConnected(n, extraEdges int, seed uint64) dynet.Adversary {
 }
 
 // BoundedDiameter changes the topology every round to a random connected
-// graph whose static diameter is at most targetDiam.
+// graph whose static diameter is at most targetDiam: round r's topology is
+// graph.BoundedDiameterRandom(n, targetDiam, extraEdges,
+// rng.New(seed).Split(r)), built into memory the adversary reuses, so each
+// topology is valid only until the next Topology call.
 func BoundedDiameter(n, targetDiam, extraEdges int, seed uint64) dynet.Adversary {
-	src := rng.New(seed)
-	return dynet.AdversaryFunc(func(r int, _ []dynet.Action) *graph.Graph {
-		return graph.BoundedDiameterRandom(n, targetDiam, extraEdges, src.Split(uint64(r)))
-	})
+	return &boundedDiameter{n: n, targetDiam: targetDiam, extraEdges: extraEdges, root: *rng.New(seed)}
+}
+
+type boundedDiameter struct {
+	n, targetDiam, extraEdges int
+	root, round               rng.Source
+	b                         graph.BoundedDiameterBuilder
+}
+
+// Topology implements dynet.Adversary.
+func (a *boundedDiameter) Topology(r int, _ []dynet.Action) *graph.Graph {
+	a.round = a.root.SplitValue(uint64(r))
+	return a.b.Build(a.n, a.targetDiam, a.extraEdges, &a.round)
 }
 
 // RotatingStar presents a star whose center advances every round — the

@@ -1,10 +1,12 @@
 package adversaries
 
 import (
+	"slices"
 	"testing"
 
 	"dyndiam/internal/dynet"
 	"dyndiam/internal/graph"
+	"dyndiam/internal/rng"
 )
 
 func collect(t *testing.T, adv dynet.Adversary, n, rounds int) []*graph.Graph {
@@ -36,6 +38,56 @@ func TestBoundedDiameterRespectsBound(t *testing.T) {
 		if d := g.StaticDiameter(); d > 6 {
 			t.Errorf("round %d: static diameter %d > 6", r+1, d)
 		}
+	}
+}
+
+// TestBoundedDiameterMatchesFreshBuilds pins the adversary's reused-memory
+// build to BoundedDiameterRandom on the same round stream, edge for edge,
+// over sizes, depths and extra-edge counts whose buffers grow and shrink
+// from round to round.
+func TestBoundedDiameterMatchesFreshBuilds(t *testing.T) {
+	t.Parallel()
+	for _, n := range []int{1, 2, 3, 17, 48, 256} {
+		for _, d := range []int{1, 2, 4, 9} {
+			for _, extra := range []int{0, n / 2, 3 * n} {
+				seed := uint64(n*100 + d*10 + extra)
+				adv := BoundedDiameter(n, d, extra, seed)
+				src := rng.New(seed)
+				for r := 1; r <= 300; r++ {
+					g := adv.Topology(r, nil)
+					want := graph.BoundedDiameterRandom(n, d, extra, src.Split(uint64(r)))
+					if g.N() != want.N() || g.M() != want.M() {
+						t.Fatalf("n=%d D=%d extra=%d round %d: N, M = %d, %d; want %d, %d",
+							n, d, extra, r, g.N(), g.M(), want.N(), want.M())
+					}
+					for v := 0; v < n; v++ {
+						if !slices.Equal(g.Adj(v), want.Adj(v)) {
+							t.Fatalf("n=%d D=%d extra=%d round %d: Adj(%d) = %v, want %v",
+								n, d, extra, r, v, g.Adj(v), want.Adj(v))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBoundedDiameterSteadyStateAllocs pins the round build to zero
+// allocations once its buffers have grown. Not parallel: AllocsPerRun
+// reads process-wide allocation counts.
+func TestBoundedDiameterSteadyStateAllocs(t *testing.T) {
+	const n = 256
+	adv := BoundedDiameter(n, 4, n/2, 1)
+	r := 0
+	round := func() {
+		r++
+		adv.Topology(r, nil)
+	}
+	for i := 0; i < 300; i++ {
+		round()
+	}
+	if avg := testing.AllocsPerRun(300, round); avg != 0 {
+		t.Errorf("steady-state Topology allocates %v per round, want 0", avg)
 	}
 }
 

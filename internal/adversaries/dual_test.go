@@ -89,8 +89,7 @@ func TestCFloodOnDualGraph(t *testing.T) {
 	// The dynamic diameter is at most the reliable ring's diameter.
 	d := reliable.StaticDiameter()
 	ms := dynet.NewMachines(flood.CFlood{}, n, inputs, 5, map[string]int64{flood.ExtraD: int64(d)})
-	e := &dynet.Engine{Machines: ms, Adv: adv, Workers: 1,
-		CheckConnectivity: true, Terminated: dynet.NodeDecided(0)}
+	e := &dynet.Engine{Machines: ms, Adv: adv, CheckConnectivity: true, Terminated: dynet.NodeDecided(0)}
 	res, err := e.Run(3 * n)
 	if err != nil || !res.Done {
 		t.Fatalf("res=%+v err=%v", res, err)

@@ -71,8 +71,7 @@ func TestCFloodOnMobileNetwork(t *testing.T) {
 	inputs[0] = 1
 	ms := dynet.NewMachines(flood.CFlood{}, n, inputs, 5,
 		map[string]int64{flood.ExtraD: n - 1})
-	e := &dynet.Engine{Machines: ms, Adv: m, Workers: 1,
-		CheckConnectivity: true, Terminated: dynet.NodeDecided(0)}
+	e := &dynet.Engine{Machines: ms, Adv: m, CheckConnectivity: true, Terminated: dynet.NodeDecided(0)}
 	res, err := e.Run(3 * n)
 	if err != nil || !res.Done {
 		t.Fatalf("CFLOOD failed on the mobile network: %v", err)

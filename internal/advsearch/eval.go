@@ -104,7 +104,7 @@ func Evaluate(proto Proto, s Schedule, evalSeed uint64, budget int, reg *obs.Reg
 			extra = map[string]int64{flood.ExtraD: int64(d)}
 		}
 		ms := dynet.NewMachines(flood.CFlood{}, s.N, inputs, evalSeed, extra)
-		e := &dynet.Engine{Machines: ms, Adv: s.Adversary(), Workers: 1, Metrics: reg}
+		e := &dynet.Engine{Machines: ms, Adv: s.Adversary(), Metrics: reg}
 		res, err := e.RunFlood(s.N+2, dynet.StopNode(0))
 		if err != nil {
 			return Hardness{}, err
@@ -120,7 +120,7 @@ func Evaluate(proto Proto, s Schedule, evalSeed uint64, budget int, reg *obs.Reg
 		}
 		extra := map[string]int64{consensus.ExtraD: int64(d)}
 		ms := dynet.NewMachines(consensus.KnownD{}, s.N, inputs, evalSeed, extra)
-		e := &dynet.Engine{Machines: ms, Adv: s.Adversary(), Workers: 1, Metrics: reg}
+		e := &dynet.Engine{Machines: ms, Adv: s.Adversary(), Metrics: reg}
 		res, err := e.Run(budget)
 		if err != nil {
 			return Hardness{}, err
@@ -128,7 +128,7 @@ func Evaluate(proto Proto, s Schedule, evalSeed uint64, budget int, reg *obs.Reg
 		return Hardness{Rounds: res.Rounds, D: d, Done: res.Done}, nil
 	case ProtoLeader:
 		ms := dynet.NewMachines(leader.Protocol{}, s.N, make([]int64, s.N), evalSeed, nil)
-		e := &dynet.Engine{Machines: ms, Adv: s.Adversary(), Workers: 1, Metrics: reg}
+		e := &dynet.Engine{Machines: ms, Adv: s.Adversary(), Metrics: reg}
 		res, err := e.Run(budget)
 		if err != nil {
 			return Hardness{}, err

@@ -8,15 +8,18 @@
 // two-party reduction harness can charge Alice and Bob the exact number of
 // bits they exchange.
 //
-// The codec is byte-chunked: WriteUint and ReadUint move up to eight bits
-// per step (the bits that share one byte), and the uvarint codec handles
-// each continuation-plus-group field as one 5-bit value. The bit format is
+// The codec is word-at-a-time: WriteUint and ReadUint move a whole field
+// through one 64-bit big-endian window starting at the byte that holds the
+// current bit, plus at most one spill byte when the field straddles the
+// window's end, and the uvarint codec packs or decodes its 5-bit
+// continuation-plus-group fields inside such windows. The bit format is
 // unchanged from a bit-at-a-time codec — the same bits in the same order,
 // zero padding to a whole byte, len(Bytes()) == ceil(Len()/8) — and
 // FuzzBitioEquivalence pins both directions against such a reference.
 package bitio
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -74,22 +77,41 @@ func (w *Writer) WriteUint(v uint64, width int) {
 		//lint:allow panicfree an overflowing field is a protocol-design bug, not runtime input
 		panic(fmt.Sprintf("bitio: value %d does not fit in %d bits", v, width))
 	}
-	for width > 0 {
-		off := w.nbit % 8
-		if off == 0 {
-			w.buf = append(w.buf, 0)
-		}
-		// Fill the current byte from bit off: n bits, the most significant
-		// of v's remaining width first.
-		n := 8 - off
-		if n > width {
-			n = width
-		}
-		width -= n
-		chunk := v >> uint(width) & (1<<uint(n) - 1)
-		w.buf[w.nbit/8] |= byte(chunk << uint(8-off-n))
-		w.nbit += n
+	if width == 0 {
+		return
 	}
+	i, off := w.nbit>>3, uint(w.nbit&7)
+	w.nbit += width
+	if n := (w.nbit + 7) >> 3; n <= cap(w.buf) {
+		// Bytes past the old length may hold data from before a Reset;
+		// the window below overwrites every one of them that joins Bytes.
+		w.buf = w.buf[:n]
+	} else {
+		w.buf = append(w.buf, make([]byte, n-len(w.buf))...)
+	}
+	// The field occupies window bits [off, end), counted from the most
+	// significant bit of the 64-bit window at byte i; bits past end are
+	// zero and the off bits before it are kept from byte i.
+	end := off + uint(width)
+	var word uint64
+	if end <= 64 {
+		word = v << (64 - end)
+	} else {
+		word = v >> (end - 64)
+		w.buf[i+8] = byte(v << (72 - end))
+	}
+	if cap(w.buf)-i >= 8 {
+		win := w.buf[i : i+8 : i+8]
+		binary.BigEndian.PutUint64(win, binary.BigEndian.Uint64(win)&^(^uint64(0)>>off)|word)
+		return
+	}
+	// Fewer than 8 bytes of capacity remain, so the field ends within
+	// them: go through a stack copy of the tail.
+	var tmp [8]byte
+	tail := w.buf[i:]
+	copy(tmp[:], tail)
+	binary.BigEndian.PutUint64(tmp[:], binary.BigEndian.Uint64(tmp[:])&^(^uint64(0)>>off)|word)
+	copy(tail, tmp[:])
 }
 
 // WriteBool appends a boolean as one bit.
@@ -100,15 +122,24 @@ func (w *Writer) WriteBool(b bool) { w.WriteBit(b) }
 // Small values (the common case for ids and counters) stay small while the
 // encoding remains self-delimiting, which the codecs rely on.
 func (w *Writer) WriteUvarint(v uint64) {
+	// Pack up to 12 five-bit fields (60 bits) per WriteUint.
+	var code uint64
+	nb := 0
 	for {
 		field := v & 0xF
 		v >>= 4
 		if v != 0 {
 			field |= 0x10 // continuation
 		}
-		w.WriteUint(field, 5)
+		code = code<<5 | field
+		nb += 5
 		if v == 0 {
+			w.WriteUint(code, nb)
 			return
+		}
+		if nb == 60 {
+			w.WriteUint(code, nb)
+			code, nb = 0, 0
 		}
 	}
 }
@@ -157,6 +188,23 @@ func (r *Reader) ReadBit() (bool, error) {
 	return b, nil
 }
 
+// window returns the stream's bits from pos on, most significant first,
+// in a word read from the 8 bytes at byte pos/8 (zero filled past the end
+// of buf) and shifted left by pos%8, so only its first 64 - pos%8 bits
+// are stream bits.
+func (r *Reader) window() uint64 {
+	i := r.pos >> 3
+	var word uint64
+	if len(r.buf)-i >= 8 {
+		word = binary.BigEndian.Uint64(r.buf[i:])
+	} else {
+		var tmp [8]byte
+		copy(tmp[:], r.buf[i:])
+		word = binary.BigEndian.Uint64(tmp[:])
+	}
+	return word << uint(r.pos&7)
+}
+
 // ReadUint consumes width bits and returns them as an unsigned integer.
 // A read past the end consumes the remaining bits and returns ErrOverflow.
 //
@@ -174,19 +222,12 @@ func (r *Reader) ReadUint(width int) (uint64, error) {
 		}
 		return 0, ErrOverflow
 	}
-	var v uint64
-	for width > 0 {
-		// Take the n bits of width that share the byte holding pos.
-		off := r.pos % 8
-		n := 8 - off
-		if n > width {
-			n = width
-		}
-		chunk := uint64(r.buf[r.pos/8]>>uint(8-off-n)) & (1<<uint(n) - 1)
-		v = v<<uint(n) | chunk
-		r.pos += n
-		width -= n
+	v := r.window() >> uint(64-width)
+	if end := r.pos&7 + width; end > 64 {
+		// The field's last end-64 bits lie in the byte after the window.
+		v |= uint64(r.buf[r.pos>>3+8]) >> uint(72-end)
 	}
+	r.pos += width
 	return v, nil
 }
 
@@ -200,17 +241,28 @@ func (r *Reader) ReadUvarint() (uint64, error) {
 	var v uint64
 	shift := 0
 	for {
-		field, err := r.ReadUint(5) // continuation bit, then 4 value bits
-		if err != nil {
-			return 0, err
+		// Decode the 5-bit fields (continuation bit, then 4 value bits)
+		// that lie wholly inside both the window and the stream.
+		k := min(r.nbit-r.pos, 57) / 5
+		if k == 0 {
+			if r.pos < r.nbit {
+				r.pos = r.nbit
+			}
+			return 0, ErrOverflow
 		}
-		if shift >= 64 {
-			return 0, ErrRange
-		}
-		v |= field & 0xF << uint(shift)
-		shift += 4
-		if field&0x10 == 0 {
-			return v, nil
+		word := r.window()
+		for ; k > 0; k-- {
+			field := word >> 59
+			word <<= 5
+			r.pos += 5
+			if shift >= 64 {
+				return 0, ErrRange
+			}
+			v |= field & 0xF << uint(shift)
+			shift += 4
+			if field&0x10 == 0 {
+				return v, nil
+			}
 		}
 	}
 }

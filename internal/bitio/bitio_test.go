@@ -1,6 +1,7 @@
 package bitio
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -163,6 +164,131 @@ func TestReadUintInvalidWidth(t *testing.T) {
 	}
 	if _, err := r.ReadUint(-1); err == nil {
 		t.Error("ReadUint(-1) succeeded, want error")
+	}
+}
+
+// TestWindowEdges writes and reads a field of every straddle width at
+// every bit offset, on a fresh writer and on one reset over stale ones,
+// against the bit-at-a-time reference.
+func TestWindowEdges(t *testing.T) {
+	var dirty Writer
+	for off := 0; off < 8; off++ {
+		for _, width := range straddleWidths {
+			var ref refWriter
+			ref.writeUint(fieldValue(off), off)
+			ref.writeUint(fieldValue(width), width)
+			ref.writeUint(5, 3)
+			var fresh Writer
+			for i := 0; i < 3; i++ {
+				dirty.WriteUint(^uint64(0), 64)
+			}
+			dirty.Reset()
+			for _, w := range []*Writer{&fresh, &dirty} {
+				w.WriteUint(fieldValue(off), off)
+				w.WriteUint(fieldValue(width), width)
+				w.WriteUint(5, 3)
+				if w.Len() != ref.nbit || !bytes.Equal(w.Bytes(), ref.buf) {
+					t.Fatalf("off %d width %d (dirty %v): wrote %x (%d bits), want %x (%d bits)",
+						off, width, w == &dirty, w.Bytes(), w.Len(), ref.buf, ref.nbit)
+				}
+			}
+			r := NewReader(ref.buf, ref.nbit)
+			for _, f := range []struct {
+				v     uint64
+				width int
+			}{{fieldValue(off), off}, {fieldValue(width), width}, {5, 3}} {
+				if got, err := r.ReadUint(f.width); err != nil || got != f.v {
+					t.Fatalf("off %d width %d: ReadUint(%d) = %#x, %v; want %#x", off, width, f.width, got, err, f.v)
+				}
+			}
+			if r.Remaining() != 0 {
+				t.Fatalf("off %d width %d: %d bits left", off, width, r.Remaining())
+			}
+		}
+		// A 16-group uvarint spans two windows at every offset.
+		var ref refWriter
+		ref.writeUint(fieldValue(off), off)
+		ref.writeUvarint(fieldValue(64))
+		var w Writer
+		w.WriteUint(fieldValue(off), off)
+		w.WriteUvarint(fieldValue(64))
+		if !bytes.Equal(w.Bytes(), ref.buf) {
+			t.Fatalf("off %d: uvarint wrote %x, want %x", off, w.Bytes(), ref.buf)
+		}
+		r := NewReader(ref.buf, ref.nbit)
+		r.ReadUint(off)
+		if got, err := r.ReadUvarint(); err != nil || got != fieldValue(64) {
+			t.Fatalf("off %d: ReadUvarint = %#x, %v; want %#x", off, got, err, fieldValue(64))
+		}
+	}
+}
+
+// TestShortPayloadReads reads every offset and width, overflowing ones
+// included, from payloads shorter than one window.
+func TestShortPayloadReads(t *testing.T) {
+	for size := 0; size < 8; size++ {
+		buf := pattern(size)
+		for nbit := 0; nbit <= 8*size; nbit++ {
+			for off := 0; off <= min(nbit, 7); off++ {
+				for width := 0; width <= nbit-off+1; width++ {
+					r := NewReader(buf, nbit)
+					rr := refReader{buf: buf, nbit: nbit}
+					r.ReadUint(off)
+					rr.readUint(off)
+					got, gerr := r.ReadUint(width)
+					want, werr := rr.readUint(width)
+					if got != want || !sameErr(gerr, werr) || r.Remaining() != rr.nbit-rr.pos {
+						t.Fatalf("size %d nbit %d off %d: ReadUint(%d) = %#x, %v; want %#x, %v",
+							size, nbit, off, width, got, gerr, want, werr)
+					}
+				}
+				r := NewReader(buf, nbit)
+				rr := refReader{buf: buf, nbit: nbit}
+				r.ReadUint(off)
+				rr.readUint(off)
+				got, gerr := r.ReadUvarint()
+				want, werr := rr.readUvarint()
+				if got != want || !sameErr(gerr, werr) || r.Remaining() != rr.nbit-rr.pos {
+					t.Fatalf("size %d nbit %d off %d: ReadUvarint = %#x, %v; want %#x, %v",
+						size, nbit, off, got, gerr, want, werr)
+				}
+			}
+		}
+	}
+}
+
+// benchFields is a Theorem 8-sized message: a few ids, counters and flags.
+var benchFields = []struct {
+	v     uint64
+	width int
+}{{1, 2}, {200, 9}, {77, 9}, {3, 5}, {1 << 20, 24}, {1, 1}, {5000, 17}}
+
+func BenchmarkWriteUint(b *testing.B) {
+	var w Writer
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		w.Reset()
+		for _, f := range benchFields {
+			w.WriteUint(f.v, f.width)
+		}
+	}
+}
+
+func BenchmarkReadUint(b *testing.B) {
+	var w Writer
+	for _, f := range benchFields {
+		w.WriteUint(f.v, f.width)
+	}
+	buf, n := w.Bytes(), w.Len()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := NewReader(buf, n)
+		for _, f := range benchFields {
+			if _, err := r.ReadUint(f.width); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -143,6 +143,17 @@ func FuzzBitioEquivalence(f *testing.F) {
 	f.Add([]byte{1, 0x34, 0x12, 0, 0, 0, 0, 0, 0, 4, 1, 0, 0, 0, 0, 0, 0, 0, 0x80}, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, uint(85))
 	f.Add([]byte{2, 5, 0, 3, 2, 1, 9}, []byte{0x80}, uint(3))
 	f.Add([]byte{}, []byte{}, uint(0))
+	for off := 0; off < 8; off++ {
+		f.Add(straddleWriteOps(off), []byte{}, uint(0))
+		buf := pattern(96)
+		f.Add(straddleReadOps(off), buf, uint(8*len(buf)-3))
+	}
+	for _, size := range []int{1, 3, 7} {
+		ops := append(opReadUint(3), 1)
+		ops = append(ops, opReadUint(8*size)...)
+		f.Add(ops, pattern(size), uint(8*size-1))
+	}
+	f.Add(dirtyResetOps(), pattern(9), uint(70))
 	f.Fuzz(func(t *testing.T, ops, buf []byte, nbit uint) {
 		var w Writer
 		var ref refWriter
@@ -206,4 +217,77 @@ func boolU(b bool) uint64 {
 		return 1
 	}
 	return 0
+}
+
+// straddleWidths are the field widths the edge tests and fuzz seeds cover
+// at every bit offset: 0, 1, and 57–64, the widths at which a field that
+// starts at a nonzero offset straddles the 64-bit window.
+var straddleWidths = []int{0, 1, 57, 58, 59, 60, 61, 62, 63, 64}
+
+// pattern returns n deterministic bytes with every bit value present.
+func pattern(n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i*37 + 0xA5)
+	}
+	return b
+}
+
+// fieldValue returns a width-bit value with both end bits set, so a
+// misplaced or truncated field shows.
+func fieldValue(width int) uint64 {
+	if width == 0 {
+		return 0
+	}
+	return (0xA5A5A5A5A5A5A5A5 | 1<<uint(width-1) | 1) & (^uint64(0) >> uint(64-width))
+}
+
+// Op-stream encoders for FuzzBitioEquivalence seeds. The same stream is
+// read once as write ops and once as read ops, so a seed aims at one
+// phase and is arbitrary input to the other.
+func opWriteUint(v uint64, width int) []byte {
+	return binary.LittleEndian.AppendUint64([]byte{0, byte(width)}, v)
+}
+
+func opReadUint(width int) []byte { return []byte{0, byte(width + 1)} }
+
+const opReset = 3
+
+// straddleWriteOps writes, for each straddle width, an off-bit prefix,
+// the field and a 3-bit trailer, resetting between widths.
+func straddleWriteOps(off int) []byte {
+	var ops []byte
+	for _, width := range straddleWidths {
+		ops = append(ops, opWriteUint(fieldValue(off), off)...)
+		ops = append(ops, opWriteUint(fieldValue(width), width)...)
+		ops = append(ops, opWriteUint(5, 3)...)
+		ops = append(ops, opReset)
+	}
+	return ops
+}
+
+// straddleReadOps reads an off-bit prefix, then each straddle width
+// followed by a filler read that brings the position back to offset off.
+func straddleReadOps(off int) []byte {
+	ops := opReadUint(off)
+	for _, width := range straddleWidths {
+		ops = append(ops, opReadUint(width)...)
+		ops = append(ops, opReadUint((8-width%8)%8)...)
+	}
+	return ops
+}
+
+// dirtyResetOps fills three words with ones, resets, then writes fields
+// and a uvarint that land on the stale bytes.
+func dirtyResetOps() []byte {
+	var ops []byte
+	for i := 0; i < 3; i++ {
+		ops = append(ops, opWriteUint(^uint64(0), 64)...)
+	}
+	ops = append(ops, opReset)
+	ops = append(ops, opWriteUint(1, 1)...)
+	ops = append(ops, opWriteUint(fieldValue(60), 60)...)
+	ops = append(ops, binary.LittleEndian.AppendUint64([]byte{1}, 0x0123456789ABCDEF)...)
+	ops = append(ops, 0) // the uvarint's shift
+	return append(ops, opWriteUint(0, 7)...)
 }

@@ -35,7 +35,6 @@ func newPingEngine(n int) *Engine {
 	return &Engine{
 		Machines:          ms,
 		Adv:               Static(graph.Ring(n)),
-		Workers:           1,
 		CheckConnectivity: true,
 	}
 }
@@ -57,13 +56,13 @@ func TestEngineRoundZeroAllocs(t *testing.T) {
 	r := 0
 	round := func() {
 		r++
-		e.step(r, actions, outgoing, 1, nil)
+		e.step(r, actions, outgoing, nil)
 		g := e.Adv.Topology(r, actions)
 		if !g.ConnectedInto(dist, queue) {
 			t.Fatal("ring disconnected")
 		}
 		collect(g, actions, outgoing, inboxes)
-		e.deliver(r, actions, inboxes, 1, nil)
+		e.deliver(r, actions, inboxes, nil)
 	}
 	// Warm the inbox backing arrays: both parities of the ping schedule.
 	round()

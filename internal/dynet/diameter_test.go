@@ -122,7 +122,7 @@ func TestDynamicDiameterMatchesEngineTrace(t *testing.T) {
 	})
 	ms := NewMachines(relayProtocol{}, n, tokenInputs(n, 0), 1, nil)
 	tr := &Trace{KeepTopologies: true}
-	e := &Engine{Machines: ms, Adv: adv, Workers: 1, Trace: tr,
+	e := &Engine{Machines: ms, Adv: adv, Trace: tr,
 		Terminated: func([]Machine) bool { return false }} // run full horizon
 	if _, err := e.Run(120); err != nil {
 		t.Fatal(err)

@@ -11,10 +11,10 @@
 //     chose to receive in that round. Nodes do not know their neighbors
 //     unless they receive from them.
 //
-// The package provides the per-node Machine abstraction, the round Engine
-// (sequential and goroutine-parallel, bit-identical), CONGEST bit-budget
-// enforcement, execution traces, and the dynamic-diameter computation based
-// on the causal relation (U, r) ⇝ (V, r+z).
+// The package provides the per-node Machine abstraction, the round Engine,
+// CONGEST bit-budget enforcement, execution traces, and the
+// dynamic-diameter computation based on the causal relation
+// (U, r) ⇝ (V, r+z).
 package dynet
 
 import (
@@ -45,6 +45,13 @@ func (a Action) String() string {
 
 // Message is a protocol message on the wire. Payload holds NBits valid bits
 // in bitio layout. From is filled in by the engine at delivery time.
+//
+// Payload bytes are immutable once Step returns: neither the sender nor
+// any layer the message passes through writes to them afterwards (the
+// fault layer corrupts a copy), and a caller may keep the slice after the
+// round. twoparty.Run relies on this: the inboxes it records copy message
+// headers but not payload bytes. A machine that reused one bitio.Writer's
+// buffer across rounds would rewrite payloads such holders still read.
 type Message struct {
 	From    int
 	Payload []byte

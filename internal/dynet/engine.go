@@ -2,8 +2,6 @@ package dynet
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"dyndiam/internal/faults"
 	"dyndiam/internal/graph"
@@ -21,10 +19,10 @@ type Engine struct {
 	// CheckConnectivity makes the engine verify each round's topology is
 	// connected, as the model requires of the adversary.
 	CheckConnectivity bool
-	// Workers > 1 selects the goroutine-parallel stepper with that many
-	// workers; 1 forces sequential; 0 picks GOMAXPROCS. Parallel and
-	// sequential execution are bit-identical because machines only share
-	// the read-only topology.
+	// Workers is ignored; it remains so callers that set it still
+	// compile. The engine steps and delivers to the machines on the
+	// goroutine that called Run, in ascending node order. Sweeps use
+	// cores one cell per goroutine instead (harness.Sweep.Workers).
 	Workers int
 	// Trace, when non-nil, records per-round topologies and statistics.
 	Trace *Trace
@@ -34,9 +32,8 @@ type Engine struct {
 	// machines emit their own phase and lock events through their own
 	// sinks; the engine only reports what it can see. A nil Obs keeps
 	// the round loop exactly on the zero-allocation path pinned by the
-	// alloc regression tests. Events are emitted from the coordinator
-	// goroutine only, so a single-goroutine sink (obs.Ring) is safe at
-	// any Workers setting.
+	// alloc regression tests. Events are emitted from the goroutine that
+	// called Run, so a single-goroutine sink (obs.Ring) is safe.
 	Obs obs.Sink
 	// Metrics, when non-nil, accumulates run totals (engine_rounds_total,
 	// engine_messages_total, engine_bits_total) and per-round histograms
@@ -108,13 +105,6 @@ func (e *Engine) Run(maxRounds int) (*Result, error) {
 	if budget == 0 {
 		budget = Budget(n)
 	}
-	workers := e.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
 	terminated := e.Terminated
 	if terminated == nil {
 		terminated = AllDecided
@@ -157,7 +147,7 @@ func (e *Engine) Run(maxRounds int) (*Result, error) {
 			down = fs.down
 		}
 		// Phase 1: coin flips and send/receive commitment.
-		e.step(r, actions, outgoing, workers, down)
+		e.step(r, actions, outgoing, down)
 		roundSenders, roundBits := 0, 0
 		for v := 0; v < n; v++ {
 			if actions[v] == Send {
@@ -196,7 +186,7 @@ func (e *Engine) Run(maxRounds int) (*Result, error) {
 		} else {
 			collect(g, actions, outgoing, inboxes)
 		}
-		e.deliver(r, actions, inboxes, workers, down)
+		e.deliver(r, actions, inboxes, down)
 
 		if e.Trace != nil {
 			e.Trace.record(r, g, actions, outgoing) //lint:allow hotpathalloc tracing is opt-in; the Cloner amortizes via arenas
@@ -276,27 +266,15 @@ func NodeDecided(v int) func([]Machine) bool {
 // send from them.
 //
 //lint:hotpath
-func (e *Engine) step(r int, actions []Action, outgoing []Message, workers int, down []bool) {
-	n := len(e.Machines)
-	if workers <= 1 {
-		for v := 0; v < n; v++ {
-			if down != nil && down[v] {
-				actions[v], outgoing[v] = Receive, Message{}
-				continue
-			}
-			actions[v], outgoing[v] = e.Machines[v].Step(r) //lint:allow hotpathalloc machines own their per-step allocation budget (pinned by AllocsPerRun tests)
-			outgoing[v].From = v
-		}
-		return
-	}
-	parallelFor(n, workers, func(v int) { //lint:allow hotpathalloc parallel path trades goroutine allocations for wall clock; sequential path is the zero-alloc baseline
+func (e *Engine) step(r int, actions []Action, outgoing []Message, down []bool) {
+	for v, m := range e.Machines {
 		if down != nil && down[v] {
 			actions[v], outgoing[v] = Receive, Message{}
-			return
+			continue
 		}
-		actions[v], outgoing[v] = e.Machines[v].Step(r) //lint:allow hotpathalloc machines own their per-step allocation budget (pinned by AllocsPerRun tests)
+		actions[v], outgoing[v] = m.Step(r) //lint:allow hotpathalloc machines own their per-step allocation budget (pinned by AllocsPerRun tests)
 		outgoing[v].From = v
-	})
+	}
 }
 
 // collect builds each receiving node's inbox: the messages of its sending
@@ -340,47 +318,10 @@ func sortByFrom(msgs []Message) {
 // crashed nodes, which are skipped: a crashed node hears nothing.
 //
 //lint:hotpath
-func (e *Engine) deliver(r int, actions []Action, inboxes [][]Message, workers int, down []bool) {
-	n := len(e.Machines)
-	if workers <= 1 {
-		for v := 0; v < n; v++ {
-			if actions[v] == Receive && !(down != nil && down[v]) {
-				e.Machines[v].Deliver(r, inboxes[v]) //lint:allow hotpathalloc machines own their per-step allocation budget (pinned by AllocsPerRun tests)
-			}
-		}
-		return
-	}
-	parallelFor(n, workers, func(v int) { //lint:allow hotpathalloc parallel path trades goroutine allocations for wall clock; sequential path is the zero-alloc baseline
+func (e *Engine) deliver(r int, actions []Action, inboxes [][]Message, down []bool) {
+	for v, m := range e.Machines {
 		if actions[v] == Receive && !(down != nil && down[v]) {
-			e.Machines[v].Deliver(r, inboxes[v]) //lint:allow hotpathalloc machines own their per-step allocation budget (pinned by AllocsPerRun tests)
+			m.Deliver(r, inboxes[v]) //lint:allow hotpathalloc machines own their per-step allocation budget (pinned by AllocsPerRun tests)
 		}
-	})
-}
-
-// parallelFor runs fn(i) for i in [0, n) across the given number of
-// goroutines, splitting the index space into contiguous chunks.
-func parallelFor(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
 	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 }

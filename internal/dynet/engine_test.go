@@ -6,7 +6,6 @@ import (
 
 	"dyndiam/internal/bitio"
 	"dyndiam/internal/graph"
-	"dyndiam/internal/rng"
 )
 
 // relayMachine is a minimal test protocol: a node that holds the token
@@ -74,7 +73,7 @@ func tokenInputs(n, holder int) []int64 {
 func TestRelayFloodsLine(t *testing.T) {
 	const n = 16
 	ms := NewMachines(relayProtocol{}, n, tokenInputs(n, 0), 7, nil)
-	e := &Engine{Machines: ms, Adv: Static(graph.Line(n)), CheckConnectivity: true, Workers: 1}
+	e := &Engine{Machines: ms, Adv: Static(graph.Line(n)), CheckConnectivity: true}
 	res, err := e.Run(2000)
 	if err != nil {
 		t.Fatal(err)
@@ -95,36 +94,9 @@ func TestRelayFloodsLine(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
-	const n = 64
-	run := func(workers int) *Result {
-		ms := NewMachines(relayProtocol{}, n, tokenInputs(n, 3), 99, nil)
-		src := rng.New(5)
-		adv := AdversaryFunc(func(r int, _ []Action) *graph.Graph {
-			return graph.RandomConnected(n, n/2, src.Split(uint64(r)))
-		})
-		e := &Engine{Machines: ms, Adv: adv, Workers: workers}
-		res, err := e.Run(500)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	seq := run(1)
-	par := run(8)
-	if seq.Rounds != par.Rounds || seq.Messages != par.Messages || seq.Bits != par.Bits {
-		t.Fatalf("parallel execution diverged: seq=%+v par=%+v", seq, par)
-	}
-	for v := range seq.Outputs {
-		if seq.Outputs[v] != par.Outputs[v] || seq.Decided[v] != par.Decided[v] {
-			t.Fatalf("node %d output differs between sequential and parallel", v)
-		}
-	}
-}
-
 func TestBudgetViolationDetected(t *testing.T) {
 	ms := NewMachines(hogProtocol{}, 4, nil, 1, nil)
-	e := &Engine{Machines: ms, Adv: Static(graph.Line(4)), Workers: 1}
+	e := &Engine{Machines: ms, Adv: Static(graph.Line(4))}
 	_, err := e.Run(5)
 	if err == nil || !strings.Contains(err.Error(), "bit budget") {
 		t.Fatalf("budget violation not detected: err = %v", err)
@@ -137,7 +109,6 @@ func TestConnectivityViolationDetected(t *testing.T) {
 		Machines:          ms,
 		Adv:               Static(graph.New(4)), // edgeless: disconnected
 		CheckConnectivity: true,
-		Workers:           1,
 	}
 	_, err := e.Run(5)
 	if err == nil || !strings.Contains(err.Error(), "disconnected") {
@@ -151,7 +122,6 @@ func TestNodeDecidedPredicate(t *testing.T) {
 	e := &Engine{
 		Machines:   ms,
 		Adv:        Static(graph.Line(n)),
-		Workers:    1,
 		Terminated: NodeDecided(1),
 	}
 	res, err := e.Run(1000)
@@ -172,7 +142,7 @@ func TestTraceRecords(t *testing.T) {
 	const n = 6
 	ms := NewMachines(relayProtocol{}, n, tokenInputs(n, 0), 3, nil)
 	tr := &Trace{KeepTopologies: true}
-	e := &Engine{Machines: ms, Adv: Static(graph.Ring(n)), Workers: 1, Trace: tr}
+	e := &Engine{Machines: ms, Adv: Static(graph.Ring(n)), Trace: tr}
 	res, err := e.Run(200)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +194,7 @@ func TestSendersDoNotReceive(t *testing.T) {
 		&alwaysSend{id: 0},
 		&alwaysSend{id: 1},
 	}
-	e := &Engine{Machines: ms, Adv: Static(graph.Line(2)), Workers: 1}
+	e := &Engine{Machines: ms, Adv: Static(graph.Line(2))}
 	if _, err := e.Run(50); err != nil {
 		t.Fatal(err)
 	}
@@ -247,20 +217,12 @@ func (m *alwaysSend) Deliver(int, []Message) { m.got = true }
 func (m *alwaysSend) Output() (int64, bool)  { return 0, false }
 
 func BenchmarkEngineSequentialLine(b *testing.B) {
-	benchEngine(b, 1)
-}
-
-func BenchmarkEngineParallelLine(b *testing.B) {
-	benchEngine(b, 8)
-}
-
-func benchEngine(b *testing.B, workers int) {
 	const n = 512
 	g := graph.Line(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ms := NewMachines(relayProtocol{}, n, tokenInputs(n, 0), uint64(i), nil)
-		e := &Engine{Machines: ms, Adv: Static(g), Workers: workers}
+		e := &Engine{Machines: ms, Adv: Static(g)}
 		if _, err := e.Run(200); err != nil {
 			b.Fatal(err)
 		}

@@ -52,7 +52,6 @@ func probeEngine(n int, plan *faults.Plan) (*Engine, []*probeMachine) {
 	e := &Engine{
 		Machines:   ms,
 		Adv:        Static(graph.Complete(n)),
-		Workers:    1,
 		Plan:       plan,
 		Terminated: func([]Machine) bool { return false },
 	}
@@ -71,10 +70,10 @@ func mustFaultPlan(t *testing.T, s faults.Spec) *faults.Plan {
 // TestFaultGoldenEquivalence is the zero-overhead golden test: an engine
 // carrying an all-zero-rate Plan must behave byte-for-byte like one with
 // no Plan at all — identical serialized traces, identical event streams,
-// deep-equal metric registries — sequentially and in parallel.
+// deep-equal metric registries.
 func TestFaultGoldenEquivalence(t *testing.T) {
 	const n, seed = 18, 77
-	run := func(plan *faults.Plan, workers int) ([]byte, []obs.Event, []obs.MetricPoint, *Result) {
+	run := func(plan *faults.Plan) ([]byte, []obs.Event, []obs.MetricPoint, *Result) {
 		ms := NewMachines(chaosProtocol{}, n, nil, seed, nil)
 		src := rng.New(seed ^ 0xABCD)
 		adv := AdversaryFunc(func(r int, _ []Action) *graph.Graph {
@@ -83,7 +82,7 @@ func TestFaultGoldenEquivalence(t *testing.T) {
 		tr := &Trace{KeepTopologies: true}
 		ring := obs.NewRing(1 << 16)
 		reg := obs.NewRegistry()
-		e := &Engine{Machines: ms, Adv: adv, Workers: workers,
+		e := &Engine{Machines: ms, Adv: adv,
 			CheckConnectivity: true, Trace: tr, Obs: ring, Metrics: reg, Plan: plan}
 		res, err := e.Run(200)
 		if err != nil {
@@ -95,21 +94,19 @@ func TestFaultGoldenEquivalence(t *testing.T) {
 		}
 		return buf.Bytes(), ring.Events(), reg.Snapshot(), res
 	}
-	for _, workers := range []int{1, 4} {
-		trNil, evNil, regNil, resNil := run(nil, workers)
-		trZero, evZero, regZero, resZero := run(mustFaultPlan(t, faults.Spec{Seed: 123}), workers)
-		if !bytes.Equal(trNil, trZero) {
-			t.Errorf("workers=%d: zero-rate plan changed the serialized trace", workers)
-		}
-		if !reflect.DeepEqual(evNil, evZero) {
-			t.Errorf("workers=%d: zero-rate plan changed the event stream", workers)
-		}
-		if !reflect.DeepEqual(regNil, regZero) {
-			t.Errorf("workers=%d: zero-rate plan changed the metric registry (%v vs %v)", workers, regNil, regZero)
-		}
-		if !reflect.DeepEqual(resNil, resZero) {
-			t.Errorf("workers=%d: zero-rate plan changed the result", workers)
-		}
+	trNil, evNil, regNil, resNil := run(nil)
+	trZero, evZero, regZero, resZero := run(mustFaultPlan(t, faults.Spec{Seed: 123}))
+	if !bytes.Equal(trNil, trZero) {
+		t.Error("zero-rate plan changed the serialized trace")
+	}
+	if !reflect.DeepEqual(evNil, evZero) {
+		t.Error("zero-rate plan changed the event stream")
+	}
+	if !reflect.DeepEqual(regNil, regZero) {
+		t.Errorf("zero-rate plan changed the metric registry (%v vs %v)", regNil, regZero)
+	}
+	if !reflect.DeepEqual(resNil, resZero) {
+		t.Error("zero-rate plan changed the result")
 	}
 }
 
@@ -308,30 +305,5 @@ func TestFaultCountersMatchEvents(t *testing.T) {
 	}
 	if down := reg.Counter("faults_down_node_rounds_total").Value(); down < reg.Counter("faults_crashes_total").Value() {
 		t.Errorf("down-node-rounds %d < crashes %d", down, reg.Counter("faults_crashes_total").Value())
-	}
-}
-
-// TestFaultyRunDeterministicAcrossWorkers: a fully faulted execution is
-// still bit-identical between sequential and parallel engines.
-func TestFaultyRunDeterministicAcrossWorkers(t *testing.T) {
-	const n, seed = 16, 5
-	run := func(workers int) *Result {
-		plan := mustFaultPlan(t, faults.Spec{
-			Seed: 31, Drop: 0.1, Dup: 0.1, Corrupt: 0.1, Crash: 0.03, MeanDown: 4, EdgeCut: 0.05,
-		})
-		ms := NewMachines(chaosProtocol{}, n, nil, seed, nil)
-		src := rng.New(seed ^ 0xABCD)
-		adv := AdversaryFunc(func(r int, _ []Action) *graph.Graph {
-			return graph.RandomConnected(n, 5, src.Split(uint64(r)))
-		})
-		e := &Engine{Machines: ms, Adv: adv, Workers: workers, CheckConnectivity: true, Plan: plan}
-		res, err := e.Run(200)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	if a, b := run(1), run(6); !reflect.DeepEqual(a, b) {
-		t.Errorf("faulty runs diverge across workers: %+v vs %+v", a, b)
 	}
 }

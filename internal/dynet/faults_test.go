@@ -28,8 +28,7 @@ func TestJunkStaysWithinBudget(t *testing.T) {
 func TestJunkProtocolRunsInEngine(t *testing.T) {
 	const n = 8
 	ms := NewMachines(JunkProtocol{}, n, nil, 3, nil)
-	e := &Engine{Machines: ms, Adv: Static(graph.Ring(n)), Workers: 1,
-		Terminated: func([]Machine) bool { return false }}
+	e := &Engine{Machines: ms, Adv: Static(graph.Ring(n)), Terminated: func([]Machine) bool { return false }}
 	res, err := e.Run(100)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +66,7 @@ func TestConfigsMatchNewMachines(t *testing.T) {
 		ms2[v] = relayProtocol{}.NewMachine(cfgs[v])
 	}
 	run := func(ms []Machine) *Result {
-		e := &Engine{Machines: ms, Adv: Static(graph.Line(n)), Workers: 1}
+		e := &Engine{Machines: ms, Adv: Static(graph.Line(n))}
 		res, err := e.Run(300)
 		if err != nil {
 			t.Fatal(err)

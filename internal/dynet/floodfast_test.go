@@ -92,7 +92,6 @@ func runBothPaths(t *testing.T, tc floodCase) (*dynet.Result, error) {
 	eMsg := &dynet.Engine{
 		Machines:          msMsg,
 		Adv:               tc.adversary(),
-		Workers:           1,
 		Metrics:           regMsg,
 		CheckConnectivity: tc.connCheck,
 	}
@@ -110,7 +109,6 @@ func runBothPaths(t *testing.T, tc floodCase) (*dynet.Result, error) {
 	eFast := &dynet.Engine{
 		Machines:          msFast,
 		Adv:               adv,
-		Workers:           1,
 		Metrics:           regFast,
 		CheckConnectivity: tc.connCheck,
 		ObsRoundStride:    tc.stride,
@@ -225,13 +223,13 @@ func TestFloodFastBudgetError(t *testing.T) {
 	}
 	msMsg := mk()
 	eMsg := &dynet.Engine{Machines: msMsg, Adv: randomAdversary(n, 1, 9),
-		Workers: 1, Budget: 16, Terminated: dynet.NodeDecided(0)}
+		Budget: 16, Terminated: dynet.NodeDecided(0)}
 	_, wantErr := eMsg.Run(4 * n)
 	if wantErr == nil {
 		t.Fatal("message path accepted an over-budget token")
 	}
 	eFast := &dynet.Engine{Machines: mk(), Adv: randomAdversary(n, 1, 9),
-		Workers: 1, Budget: 16}
+		Budget: 16}
 	res, ok, gotErr := eFast.TryFloodFast(4*n, dynet.StopNode(0))
 	if !ok {
 		t.Fatal("fast path declined")
@@ -247,7 +245,6 @@ func TestFloodFastDeclines(t *testing.T) {
 		return &dynet.Engine{
 			Machines: newFloodMachines(n, 5, 0),
 			Adv:      randomAdversary(n, 1, 5),
-			Workers:  1,
 		}
 	}
 	cases := []struct {
@@ -434,7 +431,6 @@ func TestFloodFastDisconnectedTopologyError(t *testing.T) {
 		e := &dynet.Engine{
 			Machines:          newFloodMachines(n, 2, 0),
 			Adv:               disconnected,
-			Workers:           1,
 			CheckConnectivity: true,
 		}
 		if fast {

@@ -58,28 +58,28 @@ func (m *chaosMachine) Deliver(r int, msgs []Message) {
 func (m *chaosMachine) Output() (int64, bool) { return int64(m.inboxes), m.decided }
 
 // checkEngineDeterminism drives arbitrary machines on arbitrary dynamic
-// topologies and reports whether sequential and parallel execution
-// produce bit-identical results. The chaos machines additionally panic
-// if the engine ever delivers over-budget or mis-attributed messages.
+// topologies twice from the same seeds and reports whether the two
+// executions are bit-identical. The chaos machines additionally panic if
+// the engine ever delivers over-budget or mis-attributed messages.
 func checkEngineDeterminism(t *testing.T, seed uint64, nRaw, extraRaw uint8) bool {
 	t.Helper()
 	n := int(nRaw%40) + 2
 	extra := int(extraRaw % 60)
-	run := func(workers int) *Result {
+	run := func() *Result {
 		ms := NewMachines(chaosProtocol{}, n, nil, seed, nil)
 		src := rng.New(seed ^ 0xABCD)
 		adv := AdversaryFunc(func(r int, _ []Action) *graph.Graph {
 			return graph.RandomConnected(n, extra, src.Split(uint64(r)))
 		})
-		e := &Engine{Machines: ms, Adv: adv, Workers: workers, CheckConnectivity: true}
+		e := &Engine{Machines: ms, Adv: adv, CheckConnectivity: true}
 		res, err := e.Run(250)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	a := run(1)
-	b := run(6)
+	a := run()
+	b := run()
 	if a.Rounds != b.Rounds || a.Messages != b.Messages || a.Bits != b.Bits || a.Done != b.Done {
 		return false
 	}
@@ -98,7 +98,7 @@ func checkEngineAccounting(t *testing.T, seed uint64, nRaw uint8) {
 	n := int(nRaw%40) + 3
 	ms := NewMachines(chaosProtocol{}, n, nil, seed, nil)
 	tr := &Trace{}
-	e := &Engine{Machines: ms, Adv: Static(graph.Ring(n)), Workers: 1, Trace: tr}
+	e := &Engine{Machines: ms, Adv: Static(graph.Ring(n)), Trace: tr}
 	res, err := e.Run(150)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func checkEngineAccounting(t *testing.T, seed uint64, nRaw uint8) {
 }
 
 // TestEngineFuzzDeterminism is the quick-check entry point for the
-// sequential-vs-parallel determinism property.
+// run-to-run determinism property.
 func TestEngineFuzzDeterminism(t *testing.T) {
 	f := func(seed uint64, nRaw uint8, extraRaw uint8) bool {
 		return checkEngineDeterminism(t, seed, nRaw, extraRaw)
@@ -141,7 +141,7 @@ func FuzzEngineDeterminism(f *testing.F) {
 	f.Add(uint64(42), uint8(0), uint8(0))
 	f.Fuzz(func(t *testing.T, seed uint64, nRaw, extraRaw uint8) {
 		if !checkEngineDeterminism(t, seed, nRaw, extraRaw) {
-			t.Errorf("seed %d nRaw %d extraRaw %d: sequential and parallel executions diverge", seed, nRaw, extraRaw)
+			t.Errorf("seed %d nRaw %d extraRaw %d: two executions from the same seeds diverge", seed, nRaw, extraRaw)
 		}
 	})
 }

@@ -10,8 +10,8 @@ import (
 // TestEngineGoldenResults pins the engine's observable behavior to values
 // captured from the pre-CSR map-based implementation: the graph-core and
 // zero-allocation engine rewrites must keep executions bit-identical for
-// fixed seeds, in both sequential and parallel mode. A change to any number
-// here means the refactor altered executions, not just their speed.
+// fixed seeds. A change to any number here means the refactor altered
+// executions, not just their speed.
 func TestEngineGoldenResults(t *testing.T) {
 	golden := []struct {
 		seed           uint64
@@ -29,31 +29,29 @@ func TestEngineGoldenResults(t *testing.T) {
 		{99, 23, 3, 196, 2308, 113285, true, 253029845},
 	}
 	for _, c := range golden {
-		for _, workers := range []int{1, 6} {
-			ms := NewMachines(chaosProtocol{}, c.n, nil, c.seed, nil)
-			src := rng.New(c.seed ^ 0xABCD)
-			adv := AdversaryFunc(func(r int, _ []Action) *graph.Graph {
-				return graph.RandomConnected(c.n, c.extra, src.Split(uint64(r)))
-			})
-			e := &Engine{Machines: ms, Adv: adv, Workers: workers, CheckConnectivity: true}
-			res, err := e.Run(250)
-			if err != nil {
-				t.Fatal(err)
+		ms := NewMachines(chaosProtocol{}, c.n, nil, c.seed, nil)
+		src := rng.New(c.seed ^ 0xABCD)
+		adv := AdversaryFunc(func(r int, _ []Action) *graph.Graph {
+			return graph.RandomConnected(c.n, c.extra, src.Split(uint64(r)))
+		})
+		e := &Engine{Machines: ms, Adv: adv, CheckConnectivity: true}
+		res, err := e.Run(250)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := int64(0)
+		for v := range res.Outputs {
+			sum += res.Outputs[v] * int64(v+1)
+			if res.Decided[v] {
+				sum += int64(v) * 1000003
 			}
-			sum := int64(0)
-			for v := range res.Outputs {
-				sum += res.Outputs[v] * int64(v+1)
-				if res.Decided[v] {
-					sum += int64(v) * 1000003
-				}
-			}
-			if res.Rounds != c.rounds || res.Messages != c.messages ||
-				res.Bits != c.bits || res.Done != c.done || sum != c.outputChecksum {
-				t.Errorf("seed %d n %d extra %d workers %d: got (rounds %d, msgs %d, bits %d, done %v, sum %d), want (%d, %d, %d, %v, %d)",
-					c.seed, c.n, c.extra, workers,
-					res.Rounds, res.Messages, res.Bits, res.Done, sum,
-					c.rounds, c.messages, c.bits, c.done, c.outputChecksum)
-			}
+		}
+		if res.Rounds != c.rounds || res.Messages != c.messages ||
+			res.Bits != c.bits || res.Done != c.done || sum != c.outputChecksum {
+			t.Errorf("seed %d n %d extra %d: got (rounds %d, msgs %d, bits %d, done %v, sum %d), want (%d, %d, %d, %v, %d)",
+				c.seed, c.n, c.extra,
+				res.Rounds, res.Messages, res.Bits, res.Done, sum,
+				c.rounds, c.messages, c.bits, c.done, c.outputChecksum)
 		}
 	}
 }

@@ -17,7 +17,7 @@ func TestEngineObserverEvents(t *testing.T) {
 	ms := NewMachines(relayProtocol{}, n, tokenInputs(n, 0), 7, nil)
 	ring := obs.NewRing(1 << 16)
 	reg := obs.NewRegistry()
-	e := &Engine{Machines: ms, Adv: Static(graph.Line(n)), Workers: 1, Obs: ring, Metrics: reg}
+	e := &Engine{Machines: ms, Adv: Static(graph.Line(n)), Obs: ring, Metrics: reg}
 	res, err := e.Run(2000)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestEngineObserverDeterministic(t *testing.T) {
 	const n = 16
 	run := func(ring *obs.Ring) (*Result, []obs.Event) {
 		ms := NewMachines(relayProtocol{}, n, tokenInputs(n, 2), 41, nil)
-		e := &Engine{Machines: ms, Adv: Static(graph.Line(n)), Workers: 1}
+		e := &Engine{Machines: ms, Adv: Static(graph.Line(n))}
 		if ring != nil {
 			e.Obs = ring
 		}

@@ -13,7 +13,7 @@ func recordedTrace(t *testing.T, keepTopologies bool) (*Trace, int) {
 	const n = 10
 	ms := NewMachines(relayProtocol{}, n, tokenInputs(n, 0), 3, nil)
 	tr := &Trace{KeepTopologies: keepTopologies}
-	e := &Engine{Machines: ms, Adv: Static(graph.Ring(n)), Workers: 1, Trace: tr}
+	e := &Engine{Machines: ms, Adv: Static(graph.Ring(n)), Trace: tr}
 	if _, err := e.Run(60); err != nil {
 		t.Fatal(err)
 	}

@@ -65,28 +65,59 @@ func RandomConnected(n, extraEdges int, src *rng.Source) *Graph {
 // BoundedDiameterRandom returns a connected random graph whose static
 // diameter is at most targetDiam: a random tree of depth <= targetDiam/2
 // around a random center, plus extra random edges. It gives the upper-bound
-// experiments a family of low-diameter, size-N topologies.
-//
-// The adversary families build one of these every round, so the edges are
-// drawn into a flat endpoint list first and the adjacency is built in one
-// pass (fromEnds) instead of by per-edge sorted insertion.
+// experiments a family of low-diameter, size-N topologies. It is a fresh
+// BoundedDiameterBuilder's Build; callers that build one every round keep a
+// builder instead.
 func BoundedDiameterRandom(n, targetDiam, extraEdges int, src *rng.Source) *Graph {
+	return new(BoundedDiameterBuilder).Build(n, targetDiam, extraEdges, src)
+}
+
+// BoundedDiameterBuilder builds BoundedDiameterRandom's graphs into memory
+// it keeps between calls: the vertex permutation, the tree layers, the edge
+// endpoint list, the bucket-build buffers and the graph's rows. The edges
+// are drawn into a flat endpoint list first and the adjacency is built from
+// it in one pass, instead of by per-edge sorted insertion. The zero value
+// is ready to use; a builder is not safe for concurrent use.
+type BoundedDiameterBuilder struct {
+	order  []int     // the vertex permutation; order[0] is the center
+	layers [][]int32 // layers[l] holds the tree vertices at depth l
+	ends   []int32   // edge endpoints in pairs; the transpose overwrites them with the rows
+	start  []int32   // row v fills ends[start[v]:start[v+1]]
+	fill   []int32   // per-row fill cursor
+	bySrc  []int32   // arcs bucketed by source, before the transpose
+	g      Graph
+}
+
+// Build returns BoundedDiameterRandom(n, targetDiam, extraEdges, src): it
+// makes exactly that function's draws from src, so fed the same stream it
+// returns the same graph. The graph aliases the builder's memory and is
+// valid only until the next Build, which is the Adversary contract's
+// lifetime for a round topology. Once the buffers have grown to the
+// largest round seen, Build allocates nothing.
+//
+//lint:hotpath
+func (b *BoundedDiameterBuilder) Build(n, targetDiam, extraEdges int, src *rng.Source) *Graph {
+	depth := max(targetDiam/2, 1)
+	b.reserve(n, depth, max(extraEdges, 0)) //lint:allow hotpathalloc capacity growth only; steady state reuses the buffers
 	if n <= 1 {
-		return New(n)
+		adj := b.g.adj[:n]
+		clear(adj)
+		b.g.n, b.g.m, b.g.adj = n, 0, adj
+		return &b.g
 	}
-	depth := targetDiam / 2
-	if depth < 1 {
-		depth = 1
-	}
-	ends := make([]int32, 0, 2*(n-1+max(extraEdges, 0)))
 	// Layered random tree: layer 0 is the center; vertex i in layer l
 	// attaches to a random vertex in layer l-1.
-	order := src.Perm(n)
-	layers := make([][]int32, depth+1)
-	layers[0] = []int32{int32(order[0])}
+	order := b.order[:n]
+	src.PermInto(order)
+	layers := b.layers[:depth+1]
+	for l := range layers {
+		layers[l] = layers[l][:0]
+	}
+	layers[0] = append(layers[0], int32(order[0]))
+	ends := b.ends[:0]
 	for i := 1; i < n; i++ {
 		l := 1 + src.Intn(depth)
-		for layers[l-1] == nil || len(layers[l-1]) == 0 {
+		for len(layers[l-1]) == 0 {
 			l--
 		}
 		parent := layers[l-1][src.Intn(len(layers[l-1]))]
@@ -99,26 +130,57 @@ func BoundedDiameterRandom(n, targetDiam, extraEdges int, src *rng.Source) *Grap
 			ends = append(ends, int32(u), int32(v))
 		}
 	}
-	return fromEnds(n, ends)
+	b.ends = ends
+	return b.fromEnds(n)
 }
 
-// fromEnds returns the graph on n vertices whose edges are the pairs
-// (ends[2i], ends[2i+1]), which may repeat but contain no self-loops: the
-// graph AddEdge would build from them, in time linear in n + len(ends). It
-// is a two-pass bucket build: the arcs are bucketed by source, then
-// transposed by scanning sources in ascending order, so every row comes out
-// sorted with no per-row sort and repeats sit side by side for the dedup.
-// The transposed rows overwrite ends, which becomes the graph's arena.
-func fromEnds(n int, ends []int32) *Graph {
-	start := make([]int32, n+1) // row v fills [start[v], start[v+1])
+// reserve grows the builder's buffers to hold a graph on n vertices with a
+// tree of the given depth and up to extra non-tree edges. Layers keep their
+// own capacity across calls and grow by append.
+func (b *BoundedDiameterBuilder) reserve(n, depth, extra int) {
+	if cap(b.g.adj) < n {
+		b.g.adj = make([][]int32, n)
+	}
+	if n <= 1 {
+		return
+	}
+	if cap(b.order) < n {
+		b.order = make([]int, n)
+	}
+	if len(b.layers) < depth+1 {
+		b.layers = append(b.layers, make([][]int32, depth+1-len(b.layers))...)
+	}
+	if arcs := 2 * (n - 1 + extra); cap(b.ends) < arcs {
+		b.ends = make([]int32, 0, arcs)
+		b.bySrc = make([]int32, arcs)
+	}
+	if cap(b.start) < n+1 {
+		b.start = make([]int32, n+1)
+		b.fill = make([]int32, n)
+	}
+}
+
+// fromEnds builds into b.g the graph on n vertices whose edges are the
+// pairs (ends[2i], ends[2i+1]), which may repeat but contain no
+// self-loops: the graph AddEdge would build from them, in time linear in
+// n + len(ends). It is a two-pass bucket build: the arcs are bucketed by
+// source, then transposed by scanning sources in ascending order, so every
+// row comes out sorted with no per-row sort and repeats sit side by side
+// for the dedup. The transposed rows overwrite ends, which becomes the
+// graph's arena.
+func (b *BoundedDiameterBuilder) fromEnds(n int) *Graph {
+	ends := b.ends
+	start := b.start[:n+1]
+	clear(start)
 	for _, v := range ends {
 		start[v+1]++
 	}
 	for v := 0; v < n; v++ {
 		start[v+1] += start[v]
 	}
-	fill := make([]int32, n)
-	bySrc := make([]int32, len(ends))
+	fill := b.fill[:n]
+	clear(fill)
+	bySrc := b.bySrc[:len(ends)]
 	for i := 0; i < len(ends); i += 2 {
 		u, v := ends[i], ends[i+1]
 		bySrc[start[u]+fill[u]] = v
@@ -134,9 +196,9 @@ func fromEnds(n int, ends []int32) *Graph {
 			fill[v]++
 		}
 	}
-	g := &Graph{n: n, adj: make([][]int32, n)}
+	adj := b.g.adj[:n]
 	arcs := 0
-	for v := range g.adj {
+	for v := range adj {
 		row := mem[start[v]:start[v+1]]
 		k := 0
 		for i, u := range row {
@@ -147,9 +209,9 @@ func fromEnds(n int, ends []int32) *Graph {
 		}
 		// Capped at its own length, so a later AddEdge reallocates this row
 		// instead of overwriting the next row in the arena.
-		g.adj[v] = row[:k:k]
+		adj[v] = row[:k:k]
 		arcs += k
 	}
-	g.m = arcs / 2
-	return g
+	b.g.n, b.g.m, b.g.adj = n, arcs/2, adj
+	return &b.g
 }

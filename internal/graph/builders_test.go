@@ -53,16 +53,21 @@ func sameGraph(g, want *Graph) string {
 
 // TestBoundedDiameterRandomMatchesAddEdge pins the bucket build to the
 // AddEdge reference on the identical RNG stream, including extraEdges = 4n,
-// where most extra edges repeat, and then checks that edits to the built
-// graph (whose rows share one arena) leave every other row intact.
+// where most extra edges repeat, both fresh and from one builder reused
+// across every size, and then checks that edits to the built graph (whose
+// rows share one arena) leave every other row intact.
 func TestBoundedDiameterRandomMatchesAddEdge(t *testing.T) {
 	t.Parallel()
+	var shared BoundedDiameterBuilder
 	for _, n := range []int{1, 2, 3, 17, 128, 256} {
 		for _, extra := range []int{0, n / 2, 4 * n} {
 			for _, diam := range []int{2, 4, 9} {
 				seed := uint64(n*1000 + extra*10 + diam)
-				g := BoundedDiameterRandom(n, diam, extra, rng.New(seed))
 				want := refBoundedDiameterRandom(n, diam, extra, rng.New(seed))
+				if d := sameGraph(shared.Build(n, diam, extra, rng.New(seed)), want); d != "" {
+					t.Fatalf("reused builder, n=%d extra=%d diam=%d: %s", n, extra, diam, d)
+				}
+				g := BoundedDiameterRandom(n, diam, extra, rng.New(seed))
 				if d := sameGraph(g, want); d != "" {
 					t.Fatalf("n=%d extra=%d diam=%d: %s", n, extra, diam, d)
 				}

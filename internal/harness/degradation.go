@@ -149,7 +149,7 @@ func (s Sweep) LeaderDegradation(cfg DegradationConfig) ([]DegradationRow, error
 		seed := ReliabilityTrialSeed(trial)
 		adv := adversaries.BoundedDiameter(cfg.N, cfg.TargetDiam, cfg.N/2, seed)
 		ms := dynet.NewMachines(leader.Protocol{}, cfg.N, make([]int64, cfg.N), seed, cfg.Extra)
-		e := &dynet.Engine{Machines: ms, Adv: adv, Workers: 1, Plan: plan}
+		e := &dynet.Engine{Machines: ms, Adv: adv, Plan: plan}
 		res, err := e.Run(budget)
 		if err != nil {
 			return degTrial{}, err
@@ -187,7 +187,7 @@ func (s Sweep) CFloodDegradation(cfg DegradationConfig) ([]DegradationRow, error
 		inputs := make([]int64, cfg.N)
 		inputs[0] = token
 		ms := dynet.NewMachines(flood.CFlood{}, cfg.N, inputs, seed, cfg.Extra)
-		e := &dynet.Engine{Machines: ms, Adv: adv, Workers: 1, Plan: plan,
+		e := &dynet.Engine{Machines: ms, Adv: adv, Plan: plan,
 			Terminated: dynet.NodeDecided(0)}
 		res, err := e.Run(horizon)
 		if err != nil {

@@ -92,7 +92,7 @@ func (s Sweep) GapTable(sizes []int, targetDiam int, seed uint64) ([]GapRow, err
 			inputs := make([]int64, n)
 			inputs[0] = 1
 			ms := dynet.NewMachines(flood.CFlood{}, n, inputs, seed^uint64(n), extra)
-			e := &dynet.Engine{Machines: ms, Adv: makeAdv(), Workers: 1, Metrics: reg}
+			e := &dynet.Engine{Machines: ms, Adv: makeAdv(), Metrics: reg}
 			// CFlood qualifies for the word-packed fast path; RunFlood
 			// returns results bit-identical to the message path.
 			res, err := e.RunFlood(4*n, dynet.StopNode(0))
@@ -180,7 +180,7 @@ func (s Sweep) LeaderSweep(sizes []int, targetDiam int, nprimeFactor float64, cP
 		}
 		inputs := make([]int64, n)
 		ms := dynet.NewMachines(leader.Protocol{}, n, inputs, seed^uint64(3*n), extra)
-		e := &dynet.Engine{Machines: ms, Adv: adv, Workers: 1, Metrics: reg}
+		e := &dynet.Engine{Machines: ms, Adv: adv, Metrics: reg}
 		budget := s.budget()
 		res, err := e.Run(budget)
 		if err != nil {
@@ -270,7 +270,7 @@ func (s Sweep) EstimateSweep(sizes, ks []int, targetDiam int, seed uint64) ([]Es
 			counting.ExtraD: int64(d), counting.ExtraK: int64(k),
 			counting.ExtraRounds: int64(rounds),
 		})
-		e := &dynet.Engine{Machines: ms, Adv: adv, Workers: 1, Metrics: reg}
+		e := &dynet.Engine{Machines: ms, Adv: adv, Metrics: reg}
 		res, err := e.Run(rounds + 10)
 		if err != nil || !res.Done {
 			return fmt.Errorf("harness: estimate run failed: %v", err)
@@ -337,7 +337,7 @@ func (s Sweep) MajoritySweep(n int, fracs []float64, targetDiam int, seed uint64
 		ms := dynet.NewMachines(counting.MajorityProbe{}, n, inputs, seed+uint64(holders), map[string]int64{
 			counting.ExtraD: int64(d), counting.ExtraK: 96,
 		})
-		e := &dynet.Engine{Machines: ms, Adv: adv, Workers: 1, Metrics: reg}
+		e := &dynet.Engine{Machines: ms, Adv: adv, Metrics: reg}
 		res, err := e.Run(10000000)
 		if err != nil || !res.Done {
 			return fmt.Errorf("harness: majority probe failed: %v", err)
@@ -406,7 +406,6 @@ func (s Sweep) ConsensusGap(sizes []int, targetDiam int, seed uint64) ([]Consens
 			e := &dynet.Engine{
 				Machines: ms,
 				Adv:      adversaries.BoundedDiameter(n, targetDiam, n/2, seed+uint64(n)),
-				Workers:  1,
 				Metrics:  reg,
 			}
 			res, err := e.Run(s.budget())

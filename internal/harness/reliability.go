@@ -38,7 +38,7 @@ func (s Sweep) LeaderReliability(n, targetDiam, trials int, extra map[string]int
 		seed := ReliabilityTrialSeed(trial)
 		adv := adversaries.BoundedDiameter(n, targetDiam, n/2, seed)
 		ms := dynet.NewMachines(leader.Protocol{}, n, make([]int64, n), seed, extra)
-		e := &dynet.Engine{Machines: ms, Adv: adv, Workers: 1, Metrics: reg}
+		e := &dynet.Engine{Machines: ms, Adv: adv, Metrics: reg}
 		res, err := e.Run(budget)
 		if err != nil {
 			return err
@@ -94,7 +94,7 @@ func (s Sweep) LeaderPhases(n, targetDiam int, seed uint64, extra map[string]int
 		return PhaseBreakdown{}, err
 	}
 	ms := dynet.NewMachines(leader.Protocol{}, n, make([]int64, n), seed, extra)
-	e := &dynet.Engine{Machines: ms, Adv: adv, Workers: 1}
+	e := &dynet.Engine{Machines: ms, Adv: adv}
 	budget := s.budget()
 	res, err := e.Run(budget)
 	if err != nil {

@@ -8,10 +8,10 @@ import (
 
 // PanicFree forbids panic in library packages. The simulator is headed
 // for long-running, parallel, production-scale use (see ROADMAP), where a
-// panic in one goroutine of the parallel stepper tears down the whole
-// engine with a partial execution — errors must flow through the Result
-// path instead. Panics are tolerated in two places only: invariant-check
-// helpers (functions named must*/assert*/invariant*, or the conventional
+// panic in one sweep cell's goroutine tears down the whole process with a
+// partial execution — errors must flow through the Result path instead.
+// Panics are tolerated in two places only: invariant-check helpers
+// (functions named must*/assert*/invariant*, or the conventional
 // `check` bounds-guard), and sites carrying a //lint:allow panicfree
 // comment arguing the condition is a programming error that cannot be
 // triggered by inputs.

@@ -17,8 +17,8 @@ func isBuiltinObj(obj types.Object) bool {
 
 // PrintClean forbids writing to the process's standard streams from
 // library packages: only cmd/* and examples/* own the terminal. Library
-// prints interleave nondeterministically with the parallel engine's
-// goroutines, corrupt machine-readable driver output (CSV/DOT exports),
+// prints interleave nondeterministically across parallel sweep cells,
+// corrupt machine-readable driver output (CSV/DOT exports),
 // and cannot be captured by callers. Libraries return values and errors;
 // rendering is the driver's job.
 var PrintClean = &Analyzer{

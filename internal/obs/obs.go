@@ -127,8 +127,9 @@ type Event struct {
 
 // Sink receives events. Emit is called from the goroutine driving the
 // simulation; implementations need not be safe for concurrent use (the
-// engine's own emissions are always sequential, and instrumented
-// protocol runs use Workers=1 so event order is deterministic).
+// engine steps every machine on the goroutine that called Run, so its
+// own emissions and those of instrumented protocols are sequential and
+// in a deterministic order).
 type Sink interface {
 	Emit(Event)
 }

@@ -7,8 +7,8 @@ package obs
 // internal/dynet pin this). When the ring wraps, the oldest events are
 // overwritten and counted in Dropped.
 //
-// A Ring is not safe for concurrent use; instrumented runs drive the
-// engine with Workers=1 (see Sink).
+// A Ring is not safe for concurrent use; one engine run emits from one
+// goroutine (see Sink).
 type Ring struct {
 	buf   []Event
 	total int // events ever emitted

@@ -11,7 +11,7 @@ import (
 func runConsensus(t *testing.T, p dynet.Protocol, n int, inputs []int64, adv dynet.Adversary, extra map[string]int64, seed uint64, maxRounds int) *dynet.Result {
 	t.Helper()
 	ms := dynet.NewMachines(p, n, inputs, seed, extra)
-	e := &dynet.Engine{Machines: ms, Adv: adv, Workers: 1}
+	e := &dynet.Engine{Machines: ms, Adv: adv}
 	res, err := e.Run(maxRounds)
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func BenchmarkKnownDRing(b *testing.B) {
 		inputs := make([]int64, n)
 		inputs[0] = 1
 		ms := dynet.NewMachines(KnownD{}, n, inputs, uint64(i), map[string]int64{ExtraD: d})
-		e := &dynet.Engine{Machines: ms, Adv: dynet.Static(g), Workers: 1}
+		e := &dynet.Engine{Machines: ms, Adv: dynet.Static(g)}
 		res, err := e.Run(100000)
 		if err != nil || !res.Done {
 			b.Fatalf("res=%v err=%v", res, err)

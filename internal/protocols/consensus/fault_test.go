@@ -34,8 +34,7 @@ func TestKnownDConsensusToleratesJunk(t *testing.T) {
 		}
 		return true
 	}
-	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Complete(n)), Workers: 1,
-		Terminated: honestDecided}
+	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Complete(n)), Terminated: honestDecided}
 	res, err := e.Run(100000)
 	if err != nil {
 		t.Fatal(err)

@@ -170,7 +170,7 @@ func TestEstimateNProtocol(t *testing.T) {
 		ExtraD: int64(d),
 		ExtraK: 64,
 	})
-	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Ring(n)), Workers: 1}
+	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Ring(n))}
 	res, err := e.Run(200000)
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func TestEstimateNUnderCountsWhenHorizonTooShort(t *testing.T) {
 		ExtraK:      48,
 		ExtraRounds: 30,
 	})
-	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Line(n)), Workers: 1}
+	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Line(n))}
 	res, err := e.Run(100)
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 func runProbe(t *testing.T, n int, inputs []int64, extra map[string]int64, seed uint64) *dynet.Result {
 	t.Helper()
 	ms := dynet.NewMachines(MajorityProbe{}, n, inputs, seed, extra)
-	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Ring(n)), Workers: 1}
+	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Ring(n))}
 	res, err := e.Run(1000000)
 	if err != nil || !res.Done {
 		t.Fatalf("probe run failed: done=%v err=%v", res != nil && res.Done, err)
@@ -74,7 +74,7 @@ func TestMajorityProbeConservativeWhenHorizonShort(t *testing.T) {
 	ms := dynet.NewMachines(MajorityProbe{}, n, inputs, 7, map[string]int64{
 		ExtraD: 1, ExtraK: 32, ExtraRounds: 25,
 	})
-	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Line(n)), Workers: 1}
+	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Line(n))}
 	res, err := e.Run(60)
 	if err != nil {
 		t.Fatal(err)

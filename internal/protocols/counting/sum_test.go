@@ -59,7 +59,7 @@ func TestSumEstimateProtocol(t *testing.T) {
 	ms := dynet.NewMachines(SumEstimate{}, n, inputs, 3, map[string]int64{
 		ExtraD: int64(d), ExtraK: 96,
 	})
-	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Ring(n)), Workers: 1}
+	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Ring(n))}
 	res, err := e.Run(1000000)
 	if err != nil || !res.Done {
 		t.Fatalf("sum estimate run failed: %v", err)
@@ -77,7 +77,7 @@ func TestSumEstimateAllZeros(t *testing.T) {
 	ms := dynet.NewMachines(SumEstimate{}, n, make([]int64, n), 2, map[string]int64{
 		ExtraD: int64(n), ExtraK: 16, ExtraRounds: 50,
 	})
-	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Complete(n)), Workers: 1}
+	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Complete(n))}
 	res, err := e.Run(100)
 	if err != nil || !res.Done {
 		t.Fatalf("run failed: %v", err)

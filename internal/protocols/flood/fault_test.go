@@ -20,8 +20,7 @@ func TestCFloodToleratesJunkSenders(t *testing.T) {
 	junkIDs := []int{7, 13}
 	dynet.WithJunk(ms, cfgs, junkIDs...)
 
-	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Complete(n)), Workers: 1,
-		Terminated: dynet.NodeDecided(0)}
+	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Complete(n)), Terminated: dynet.NodeDecided(0)}
 	res, err := e.Run(4 * n)
 	if err != nil {
 		t.Fatal(err)
@@ -57,8 +56,7 @@ func TestPFloodSurvivesJunkOnlyNeighbors(t *testing.T) {
 	ms := dynet.NewMachines(PFlood{}, n, inputs, 9, map[string]int64{ExtraRounds: 1 << 20})
 	cfgs := dynet.Configs(n, inputs, 9, nil)
 	dynet.WithJunk(ms, cfgs, 1, 2, 3, 4)
-	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Line(n)), Workers: 1,
-		Terminated: func([]dynet.Machine) bool { return false }}
+	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Line(n)), Terminated: func([]dynet.Machine) bool { return false }}
 	if _, err := e.Run(500); err != nil {
 		t.Fatalf("junk payloads broke the run: %v", err)
 	}

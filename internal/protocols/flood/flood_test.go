@@ -28,7 +28,6 @@ func TestCFloodKnownDExactOnLine(t *testing.T) {
 	e := &dynet.Engine{
 		Machines:   ms,
 		Adv:        dynet.Static(graph.Line(n)),
-		Workers:    1,
 		Terminated: dynet.NodeDecided(0),
 	}
 	res, err := e.Run(3 * n)
@@ -56,7 +55,6 @@ func TestCFloodNeverConfirmsEarly(t *testing.T) {
 	e := &dynet.Engine{
 		Machines:   ms,
 		Adv:        dynet.Static(graph.Complete(n)),
-		Workers:    1,
 		Terminated: dynet.NodeDecided(0),
 	}
 	res, err := e.Run(100)
@@ -74,7 +72,6 @@ func TestCFloodUnknownDDefaultsToN(t *testing.T) {
 	e := &dynet.Engine{
 		Machines:   ms,
 		Adv:        dynet.Static(graph.Star(n)),
-		Workers:    1,
 		Terminated: dynet.NodeDecided(0),
 	}
 	res, err := e.Run(2 * n)
@@ -96,7 +93,7 @@ func TestCFloodOnRandomDynamicNetworks(t *testing.T) {
 			return graph.RandomConnected(n, n/3, src.Split(uint64(r)))
 		})
 		ms := machines(t, CFlood{}, n, 5, seed, map[string]int64{ExtraD: n - 1})
-		e := &dynet.Engine{Machines: ms, Adv: adv, Workers: 1, Terminated: dynet.NodeDecided(0)}
+		e := &dynet.Engine{Machines: ms, Adv: adv, Terminated: dynet.NodeDecided(0)}
 		res, err := e.Run(4 * n)
 		if err != nil {
 			t.Fatal(err)
@@ -115,8 +112,7 @@ func TestCFloodOnRandomDynamicNetworks(t *testing.T) {
 func TestCFloodSourceOverride(t *testing.T) {
 	const n = 8
 	ms := machines(t, CFlood{}, n, 3, 1, map[string]int64{ExtraD: n - 1, ExtraSource: 5})
-	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Ring(n)), Workers: 1,
-		Terminated: dynet.NodeDecided(5)}
+	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Ring(n)), Terminated: dynet.NodeDecided(5)}
 	res, err := e.Run(3 * n)
 	if err != nil || !res.Done {
 		t.Fatalf("res=%+v err=%v", res, err)
@@ -136,9 +132,8 @@ func TestAdaptiveStallerDefeatsPFloodButNotCFlood(t *testing.T) {
 	// the informed set grows like log₂(rounds) — about 12 here — instead
 	// of reaching all 64.
 	msP := machines(t, PFlood{}, n, 1, 3, map[string]int64{ExtraRounds: 1 << 20})
-	eP := &dynet.Engine{Machines: msP, Adv: adversaries.NewStaller(n, 0), Workers: 1,
-		CheckConnectivity: true,
-		Terminated:        func([]dynet.Machine) bool { return false }}
+	eP := &dynet.Engine{Machines: msP, Adv: adversaries.NewStaller(n, 0), CheckConnectivity: true,
+		Terminated: func([]dynet.Machine) bool { return false }}
 	if _, err := eP.Run(rounds); err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +151,7 @@ func TestAdaptiveStallerDefeatsPFloodButNotCFlood(t *testing.T) {
 	// CFlood (always send): the staller is forced to concede one node
 	// per round; everyone is informed within N-1 rounds.
 	msC := machines(t, CFlood{}, n, 1, 3, map[string]int64{ExtraD: n - 1})
-	eC := &dynet.Engine{Machines: msC, Adv: adversaries.NewStaller(n, 0), Workers: 1,
-		CheckConnectivity: true, Terminated: dynet.NodeDecided(0)}
+	eC := &dynet.Engine{Machines: msC, Adv: adversaries.NewStaller(n, 0), CheckConnectivity: true, Terminated: dynet.NodeDecided(0)}
 	res, err := eC.Run(2 * n)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +173,7 @@ func TestPFloodCompletesOnObliviousNetworks(t *testing.T) {
 		return graph.RandomConnected(n, n, src.Split(uint64(r)))
 	})
 	ms := machines(t, PFlood{}, n, 8, 4, map[string]int64{ExtraD: n})
-	e := &dynet.Engine{Machines: ms, Adv: adv, Workers: 1, Terminated: dynet.NodeDecided(0)}
+	e := &dynet.Engine{Machines: ms, Adv: adv, Terminated: dynet.NodeDecided(0)}
 	res, err := e.Run(40 * n)
 	if err != nil {
 		t.Fatal(err)
@@ -200,15 +194,14 @@ func TestPFloodSendProbabilityExtremes(t *testing.T) {
 	const n = 10
 	ms := machines(t, PFlood{}, n, 2, 9,
 		map[string]int64{ExtraSendPermille: 1000, ExtraRounds: n})
-	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Line(n)), Workers: 1,
-		Terminated: func(all []dynet.Machine) bool {
-			for _, m := range all {
-				if !Informed(m) {
-					return false
-				}
+	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Line(n)), Terminated: func(all []dynet.Machine) bool {
+		for _, m := range all {
+			if !Informed(m) {
+				return false
 			}
-			return true
-		}}
+		}
+		return true
+	}}
 	res, err := e.Run(3 * n)
 	if err != nil {
 		t.Fatal(err)
@@ -225,8 +218,7 @@ func BenchmarkCFloodLine(b *testing.B) {
 		inputs := make([]int64, n)
 		inputs[0] = 1
 		ms := dynet.NewMachines(CFlood{}, n, inputs, uint64(i), map[string]int64{ExtraD: n - 1})
-		e := &dynet.Engine{Machines: ms, Adv: dynet.Static(g), Workers: 1,
-			Terminated: dynet.NodeDecided(0)}
+		e := &dynet.Engine{Machines: ms, Adv: dynet.Static(g), Terminated: dynet.NodeDecided(0)}
 		if _, err := e.Run(2 * n); err != nil {
 			b.Fatal(err)
 		}

@@ -11,7 +11,7 @@ import (
 func TestExactCompletesOnCompleteGraph(t *testing.T) {
 	const n = 16
 	ms := dynet.NewMachines(Exact{}, n, nil, 3, nil)
-	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Complete(n)), Workers: 1}
+	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Complete(n))}
 	res, err := e.Run(5000)
 	if err != nil || !res.Done {
 		t.Fatalf("exact hear-from did not complete: %v", err)
@@ -30,7 +30,7 @@ func TestExactCompletesOnDynamicTopology(t *testing.T) {
 		return graph.RandomConnected(n, n, src.Split(uint64(r)))
 	})
 	ms := dynet.NewMachines(Exact{}, n, nil, 7, nil)
-	e := &dynet.Engine{Machines: ms, Adv: adv, Workers: 1}
+	e := &dynet.Engine{Machines: ms, Adv: adv}
 	res, err := e.Run(20000)
 	if err != nil || !res.Done {
 		t.Fatalf("exact hear-from did not complete: %v", err)
@@ -44,8 +44,7 @@ func TestExactNeverOvercounts(t *testing.T) {
 	const n = 30
 	ms := dynet.NewMachines(Exact{}, n, nil, 9, nil)
 	g := graph.Line(n)
-	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(g), Workers: 1,
-		Terminated: func([]dynet.Machine) bool { return false }}
+	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(g), Terminated: func([]dynet.Machine) bool { return false }}
 	// Run round by round via the termination predicate trick: cap rounds
 	// and audit afterwards against the causal bound for the full run.
 	rounds := n / 2
@@ -87,7 +86,7 @@ func TestExactAuditsEstimatedHearFrom(t *testing.T) {
 	msE := dynet.NewMachines(HearFrom{}, n, nil, 3, map[string]int64{
 		ExtraD: int64(d), ExtraK: 48,
 	})
-	e := &dynet.Engine{Machines: msE, Adv: dynet.Static(graph.Ring(n)), Workers: 1}
+	e := &dynet.Engine{Machines: msE, Adv: dynet.Static(graph.Ring(n))}
 	res, err := e.Run(500000)
 	if err != nil || !res.Done {
 		t.Fatalf("estimated hear-from failed: %v", err)
@@ -96,7 +95,7 @@ func TestExactAuditsEstimatedHearFrom(t *testing.T) {
 	// from everyone by then (the estimation horizon is much longer than
 	// the n rounds the ring needs).
 	msX := dynet.NewMachines(Exact{}, n, nil, 3, nil)
-	eX := &dynet.Engine{Machines: msX, Adv: dynet.Static(graph.Ring(n)), Workers: 1}
+	eX := &dynet.Engine{Machines: msX, Adv: dynet.Static(graph.Ring(n))}
 	resX, err := eX.Run(res.Rounds)
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ func TestMaxOnRing(t *testing.T) {
 	}
 	d := graph.Ring(n).StaticDiameter()
 	ms := dynet.NewMachines(Max{}, n, inputs, 7, map[string]int64{ExtraD: int64(d)})
-	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Ring(n)), Workers: 1}
+	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Ring(n))}
 	res, err := e.Run(100000)
 	if err != nil || !res.Done {
 		t.Fatalf("res=%+v err=%v", res, err)
@@ -48,7 +48,7 @@ func TestMaxOnDynamicTopology(t *testing.T) {
 		return graph.BoundedDiameterRandom(n, 4, n/2, src.Split(uint64(r)))
 	})
 	ms := dynet.NewMachines(Max{}, n, inputs, 11, map[string]int64{ExtraD: 8})
-	e := &dynet.Engine{Machines: ms, Adv: adv, Workers: 1}
+	e := &dynet.Engine{Machines: ms, Adv: adv}
 	res, err := e.Run(100000)
 	if err != nil || !res.Done {
 		t.Fatalf("res=%+v err=%v", res, err)
@@ -66,7 +66,7 @@ func TestHearFromCompletes(t *testing.T) {
 	ms := dynet.NewMachines(HearFrom{}, n, nil, 3, map[string]int64{
 		ExtraD: int64(d), ExtraK: 48,
 	})
-	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Ring(n)), Workers: 1}
+	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Ring(n))}
 	res, err := e.Run(500000)
 	if err != nil || !res.Done {
 		t.Fatalf("res.Done=%v err=%v", res != nil && res.Done, err)
@@ -85,7 +85,7 @@ func TestHearFromWithholdsWhenCountLow(t *testing.T) {
 	ms := dynet.NewMachines(HearFrom{}, n, nil, 5, map[string]int64{
 		ExtraD: 1, ExtraK: 32, ExtraRounds: 20,
 	})
-	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Line(n)), Workers: 1}
+	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Line(n))}
 	res, err := e.Run(60)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func BenchmarkMaxRing(b *testing.B) {
 		inputs := make([]int64, n)
 		inputs[n/2] = 999
 		ms := dynet.NewMachines(Max{}, n, inputs, uint64(i), map[string]int64{ExtraD: d})
-		e := &dynet.Engine{Machines: ms, Adv: dynet.Static(g), Workers: 1}
+		e := &dynet.Engine{Machines: ms, Adv: dynet.Static(g)}
 		if _, err := e.Run(100000); err != nil {
 			b.Fatal(err)
 		}

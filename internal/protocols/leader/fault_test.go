@@ -33,8 +33,7 @@ func TestLeaderToleratesJunkSenders(t *testing.T) {
 		}
 		return true
 	}
-	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Complete(n)), Workers: 1,
-		Terminated: honestDecided}
+	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Complete(n)), Terminated: honestDecided}
 	res, err := e.Run(2000000)
 	if err != nil {
 		t.Fatal(err)

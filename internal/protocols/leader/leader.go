@@ -108,8 +108,9 @@ type Protocol struct {
 	// own or a flooded one), LockRollback when a candidacy fails or an
 	// unlock notice voids a held lock, and Custom "candidacy" /
 	// "leader_declared" markers. Machines emit from their Step/Deliver
-	// calls, so instrumented runs must use Engine Workers=1 (sinks are
-	// single-goroutine; see obs.Sink).
+	// calls, which the engine makes from the goroutine that called Run,
+	// so a single-goroutine sink is safe (see obs.Sink). A sink shared
+	// by engines that run concurrently must be safe for concurrent use.
 	Obs obs.Sink
 }
 

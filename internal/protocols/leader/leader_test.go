@@ -15,7 +15,7 @@ func runLeader(t *testing.T, n int, adv dynet.Adversary, extra map[string]int64,
 		inputs[v] = int64(v % 2)
 	}
 	ms := dynet.NewMachines(Protocol{}, n, inputs, seed, extra)
-	e := &dynet.Engine{Machines: ms, Adv: adv, Workers: 1}
+	e := &dynet.Engine{Machines: ms, Adv: adv}
 	res, err := e.Run(maxRounds)
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestMessagesWithinBudget(t *testing.T) {
 	const n = 64
 	inputs := make([]int64, n)
 	ms := dynet.NewMachines(Protocol{}, n, inputs, 3, nil)
-	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Ring(n)), Workers: 1}
+	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Ring(n))}
 	// The engine enforces the budget; any oversized message errors out.
 	if _, err := e.Run(20000); err != nil {
 		t.Fatalf("budget violation or engine error: %v", err)
@@ -192,7 +192,7 @@ func BenchmarkLeaderElectionStar(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		inputs := make([]int64, n)
 		ms := dynet.NewMachines(Protocol{}, n, inputs, uint64(i), nil)
-		e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Star(n)), Workers: 1}
+		e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Star(n))}
 		res, err := e.Run(500000)
 		if err != nil || !res.Done {
 			b.Fatalf("res=%v err=%v", res, err)
@@ -203,7 +203,7 @@ func BenchmarkLeaderElectionStar(b *testing.B) {
 func TestMachineStats(t *testing.T) {
 	const n = 12
 	ms := dynet.NewMachines(Protocol{}, n, make([]int64, n), 5, nil)
-	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Star(n)), Workers: 1}
+	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Star(n))}
 	res, err := e.Run(500000)
 	if err != nil || !res.Done {
 		t.Fatalf("res=%v err=%v", res, err)

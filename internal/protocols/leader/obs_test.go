@@ -19,7 +19,7 @@ func TestObservedRunEmitsPhaseAndLockEvents(t *testing.T) {
 	inputs := make([]int64, n)
 	ring := obs.NewRing(1 << 18)
 	ms := dynet.NewMachines(Protocol{Obs: ring}, n, inputs, 1, nil)
-	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Star(n)), Workers: 1, Obs: ring}
+	e := &dynet.Engine{Machines: ms, Adv: dynet.Static(graph.Star(n)), Obs: ring}
 	res, err := e.Run(400000)
 	if err != nil {
 		t.Fatal(err)

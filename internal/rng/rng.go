@@ -4,8 +4,7 @@
 // by every node is visible to both Alice and Bob. We model public coins as a
 // pure function of (seed, node, round, draw index), so any party holding the
 // seed can regenerate any node's coin tape without communicating. The same
-// property makes the sequential and the parallel simulation engines produce
-// bit-identical executions.
+// property makes every re-execution of a seeded simulation bit-identical.
 //
 // The generator is SplitMix64 (Steele, Lea, Flood 2014), chosen because each
 // stream is derived by pure arithmetic on its key — there is no shared state
@@ -55,6 +54,12 @@ func (s *Source) Split(words ...uint64) *Source {
 		k = combine(k, w)
 	}
 	return &Source{state: mix64(k)}
+}
+
+// SplitValue returns *s.Split(w) by value, so a caller that derives a fresh
+// stream every round can keep it in memory it owns instead of on the heap.
+func (s *Source) SplitValue(w uint64) Source {
+	return Source{state: mix64(combine(s.state, w))}
 }
 
 // At is shorthand for the per-node per-round stream used by protocol
@@ -110,10 +115,16 @@ func (s *Source) Exp() float64 {
 // Perm returns a uniform random permutation of [0, n).
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)
+	s.PermInto(p)
+	return p
+}
+
+// PermInto fills p with a uniform random permutation of [0, len(p)),
+// making exactly the draws Perm(len(p)) makes.
+func (s *Source) PermInto(p []int) {
 	for i := range p {
 		j := s.Intn(i + 1)
 		p[i] = p[j]
 		p[j] = i
 	}
-	return p
 }

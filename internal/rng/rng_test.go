@@ -77,6 +77,10 @@ func TestAtMatchesSplit(t *testing.T) {
 			t.Fatal("At(5,17) differs from Split(6,18)")
 		}
 	}
+	c, d := root.SplitValue(7), root.Split(7)
+	if c != *d {
+		t.Fatalf("SplitValue(7) = %v, Split(7) = %v", c, *d)
+	}
 }
 
 func TestIntnRange(t *testing.T) {

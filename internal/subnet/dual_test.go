@@ -60,9 +60,8 @@ func TestDualViewRunsCFlood(t *testing.T) {
 	inputs := make([]int64, net.N)
 	inputs[net.Source()] = 1
 	ms := dynet.NewMachines(dualTestProto{}, net.N, inputs, 3, nil)
-	e := &dynet.Engine{Machines: ms, Adv: net.DualView(), Workers: 1,
-		CheckConnectivity: true,
-		Terminated:        func([]dynet.Machine) bool { return false }}
+	e := &dynet.Engine{Machines: ms, Adv: net.DualView(), CheckConnectivity: true,
+		Terminated: func([]dynet.Machine) bool { return false }}
 	if _, err := e.Run(3 * in.Q); err != nil {
 		t.Fatal(err)
 	}

@@ -205,7 +205,7 @@ func TestDistributedErrorEquivalence(t *testing.T) {
 			tr, ring, reg := NewArtifacts(testRingCap)
 			eng := &dynet.Engine{
 				Machines: machines, Adv: mkAdv(), CheckConnectivity: true,
-				Workers: 1, Trace: tr, Obs: ring, Metrics: reg, Terminated: terminated,
+				Trace: tr, Obs: ring, Metrics: reg, Terminated: terminated,
 			}
 			res, runErr := eng.Run(base.MaxRounds)
 			proc := CollectArtifacts(res, runErr, tr, ring, reg)

@@ -86,7 +86,6 @@ func RunInProcess(spec RunSpec, ringCap int) (*RunArtifacts, error) {
 		Machines:          machines,
 		Adv:               adv,
 		CheckConnectivity: spec.CheckConnectivity,
-		Workers:           1,
 		Trace:             tr,
 		Obs:               ring,
 		Metrics:           reg,
