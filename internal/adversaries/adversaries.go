@@ -37,14 +37,13 @@ func BoundedDiameter(n, targetDiam, extraEdges int, seed uint64) dynet.Adversary
 
 type boundedDiameter struct {
 	n, targetDiam, extraEdges int
-	root, round               rng.Source
+	root                      rng.Source
 	b                         graph.BoundedDiameterBuilder
 }
 
 // Topology implements dynet.Adversary.
 func (a *boundedDiameter) Topology(r int, _ []dynet.Action) *graph.Graph {
-	a.round = a.root.SplitValue(uint64(r))
-	return a.b.Build(a.n, a.targetDiam, a.extraEdges, &a.round)
+	return a.b.Build(a.n, a.targetDiam, a.extraEdges, a.root.Split(uint64(r)))
 }
 
 // RotatingStar presents a star whose center advances every round — the

@@ -37,20 +37,51 @@ var errInvalidWidth = fmt.Errorf("bitio: invalid width (want 0..64): %w", ErrRan
 
 // Writer accumulates bits most-significant-bit first into a byte slice.
 // The zero value is ready to use.
+//
+// A Writer can encode a sequence of messages: Next starts a new one after
+// the bytes of the last, so a machine that owns one Writer hands out
+// payloads that share a few backing arrays instead of allocating one per
+// message, and never writes to a payload again once it is handed out.
 type Writer struct {
 	buf  []byte
 	nbit int // total bits written
 }
 
+const (
+	// chunkSize is the length of each fresh backing array Next moves to.
+	chunkSize = 192
+	// nextRoom is the least room Next wants after the previous message:
+	// a CONGEST payload plus the 8-byte window WriteUint stores through.
+	nextRoom = 32
+)
+
 // Len returns the number of bits written so far.
 func (w *Writer) Len() int { return w.nbit }
 
-// Bytes returns the encoded bytes. The final byte is zero padded.
-func (w *Writer) Bytes() []byte { return w.buf }
+// Bytes returns the encoded bytes. The final byte is zero padded. The
+// slice's capacity is its length, so appending to it never reaches the
+// writer's later messages.
+func (w *Writer) Bytes() []byte { return w.buf[:len(w.buf):len(w.buf)] }
 
-// Reset clears the writer for reuse, retaining the underlying buffer.
+// Reset clears the writer for reuse, retaining the underlying buffer. Later
+// writes overwrite the bytes earlier Bytes calls handed out, so a machine
+// that encodes one dynet.Message payload after another calls Next instead:
+// payloads must stay unchanged after the round that sent them.
 func (w *Writer) Reset() {
 	w.buf = w.buf[:0]
+	w.nbit = 0
+}
+
+// Next clears the writer for a new message that starts right after the
+// bytes already written, in the same backing array, or in a fresh chunk
+// when fewer than nextRoom bytes of it remain. No byte an earlier Bytes
+// call handed out is written again.
+func (w *Writer) Next() {
+	rest := w.buf[len(w.buf):cap(w.buf)]
+	if len(rest) < nextRoom {
+		rest = make([]byte, chunkSize)
+	}
+	w.buf = rest[:0]
 	w.nbit = 0
 }
 
@@ -194,15 +225,16 @@ func (r *Reader) ReadBit() (bool, error) {
 // are stream bits.
 func (r *Reader) window() uint64 {
 	i := r.pos >> 3
-	var word uint64
 	if len(r.buf)-i >= 8 {
-		word = binary.BigEndian.Uint64(r.buf[i:])
-	} else {
-		var tmp [8]byte
-		copy(tmp[:], r.buf[i:])
-		word = binary.BigEndian.Uint64(tmp[:])
+		return binary.BigEndian.Uint64(r.buf[i:]) << uint(r.pos&7)
 	}
-	return word << uint(r.pos&7)
+	// A payload shorter than a window: assemble its bytes one by one.
+	var word uint64
+	tail := r.buf[i:]
+	for _, b := range tail {
+		word = word<<8 | uint64(b)
+	}
+	return word << uint(8*(8-len(tail))+r.pos&7)
 }
 
 // ReadUint consumes width bits and returns them as an unsigned integer.

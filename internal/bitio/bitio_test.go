@@ -257,6 +257,54 @@ func TestShortPayloadReads(t *testing.T) {
 	}
 }
 
+// TestWriterNextKeepsHandedOutBytes encodes messages one after another
+// with Next, across chunk boundaries and through one message longer than
+// a chunk: every handed-out payload must keep the bytes it had when it
+// was handed out, match the bit-at-a-time reference, and have no spare
+// capacity.
+func TestWriterNextKeepsHandedOutBytes(t *testing.T) {
+	type sent struct{ payload, snapshot []byte }
+	var (
+		w    Writer
+		all  []sent
+		seed uint64 = 1
+	)
+	rand := func(n int) int { // a small LCG keeps the test self-contained
+		seed = seed*6364136223846793005 + 1442695040888963407
+		return int(seed>>33) % n
+	}
+	for msg := 0; msg < 400; msg++ {
+		w.Next()
+		var ref refWriter
+		fields := 1 + rand(6)
+		if msg == 123 {
+			fields = 2 * chunkSize / 8 // longer than a chunk
+		}
+		for f := 0; f < fields; f++ {
+			width := rand(65)
+			v := uint64(seed)
+			if width < 64 {
+				v &= 1<<uint(width) - 1
+			}
+			w.WriteUint(v, width)
+			ref.writeUint(v, width)
+		}
+		b := w.Bytes()
+		if w.Len() != ref.nbit || !bytes.Equal(b, ref.buf) {
+			t.Fatalf("message %d: wrote %x (%d bits), want %x (%d bits)", msg, b, w.Len(), ref.buf, ref.nbit)
+		}
+		if cap(b) != len(b) {
+			t.Fatalf("message %d: cap(Bytes()) = %d, len %d", msg, cap(b), len(b))
+		}
+		all = append(all, sent{b, bytes.Clone(b)})
+	}
+	for i, s := range all {
+		if !bytes.Equal(s.payload, s.snapshot) {
+			t.Fatalf("message %d changed after it was handed out: %x, was %x", i, s.payload, s.snapshot)
+		}
+	}
+}
+
 // benchFields is a Theorem 8-sized message: a few ids, counters and flags.
 var benchFields = []struct {
 	v     uint64

@@ -133,8 +133,9 @@ func sameErr(got, want error) bool {
 
 // FuzzBitioEquivalence pins the byte-chunked codec to the bit-at-a-time
 // reference. ops drives a random write sequence (WriteUint at any width
-// 0..64, WriteUvarint, WriteBit, Reset) whose bytes and Len must match
-// after every step, then a random read sequence (ReadBit, ReadUint at
+// 0..64, WriteUvarint, WriteBit, Reset, Next) whose bytes and Len must
+// match after every step, and no payload handed out before a Next may
+// change afterwards; then a random read sequence (ReadBit, ReadUint at
 // widths -1..65, ReadUvarint) over (buf, nbit ≤ 8·len(buf)) whose values,
 // errors and Remaining must match after every read, truncated streams
 // included.
@@ -154,9 +155,11 @@ func FuzzBitioEquivalence(f *testing.F) {
 		f.Add(ops, pattern(size), uint(8*size-1))
 	}
 	f.Add(dirtyResetOps(), pattern(9), uint(70))
+	f.Add(nextOps(), []byte{}, uint(0))
 	f.Fuzz(func(t *testing.T, ops, buf []byte, nbit uint) {
 		var w Writer
 		var ref refWriter
+		var sent, snapshots [][]byte
 		s := opStream{ops}
 		for step := 0; len(s.b) > 0; step++ {
 			switch op := s.byte(); op % 4 {
@@ -176,11 +179,25 @@ func FuzzBitioEquivalence(f *testing.F) {
 				w.WriteBit(op&0x80 != 0)
 				ref.writeBit(op&0x80 != 0)
 			case 3:
-				w.Reset()
-				ref.buf, ref.nbit = ref.buf[:0], 0
+				if op&0x80 != 0 {
+					b := w.Bytes()
+					if cap(b) != len(b) {
+						t.Fatalf("write step %d: cap(Bytes()) = %d, len %d", step, cap(b), len(b))
+					}
+					sent, snapshots = append(sent, b), append(snapshots, bytes.Clone(b))
+					w.Next()
+				} else {
+					w.Reset()
+				}
+				ref.buf, ref.nbit = nil, 0
 			}
 			if w.Len() != ref.nbit || !bytes.Equal(w.Bytes(), ref.buf) {
 				t.Fatalf("write step %d: got %x (%d bits), want %x (%d bits)", step, w.Bytes(), w.Len(), ref.buf, ref.nbit)
+			}
+		}
+		for i := range sent {
+			if !bytes.Equal(sent[i], snapshots[i]) {
+				t.Fatalf("payload %d changed after Next: %x, was %x", i, sent[i], snapshots[i])
 			}
 		}
 
@@ -251,7 +268,10 @@ func opWriteUint(v uint64, width int) []byte {
 
 func opReadUint(width int) []byte { return []byte{0, byte(width + 1)} }
 
-const opReset = 3
+const (
+	opReset = 3
+	opNext  = 0x80 | opReset
+)
 
 // straddleWriteOps writes, for each straddle width, an off-bit prefix,
 // the field and a 3-bit trailer, resetting between widths.
@@ -290,4 +310,21 @@ func dirtyResetOps() []byte {
 	ops = append(ops, binary.LittleEndian.AppendUint64([]byte{1}, 0x0123456789ABCDEF)...)
 	ops = append(ops, 0) // the uvarint's shift
 	return append(ops, opWriteUint(0, 7)...)
+}
+
+// nextOps writes messages of growing width separated by Next, enough to
+// cross chunk boundaries, including one message longer than a chunk.
+func nextOps() []byte {
+	var ops []byte
+	for i := 0; i < 3*chunkSize/16; i++ {
+		width := 1 + i%64
+		ops = append(ops, opWriteUint(fieldValue(width), width)...)
+		ops = append(ops, opWriteUint(fieldValue(64), 64)...)
+		ops = append(ops, opNext)
+	}
+	for i := 0; i < 2*chunkSize/8; i++ {
+		ops = append(ops, opWriteUint(fieldValue(64-i%8), 64-i%8)...)
+	}
+	ops = append(ops, opNext)
+	return append(ops, opWriteUint(5, 3)...)
 }

@@ -51,7 +51,10 @@ func (a Action) String() string {
 // fault layer corrupts a copy), and a caller may keep the slice after the
 // round. twoparty.Run relies on this: the inboxes it records copy message
 // headers but not payload bytes. A machine that reused one bitio.Writer's
-// buffer across rounds would rewrite payloads such holders still read.
+// buffer across rounds through Reset would rewrite payloads such holders
+// still read; protocols keep one Writer per machine and start each
+// message with Next, which writes only past the payloads handed out.
+// TestPayloadsImmutable pins the rule end to end.
 type Message struct {
 	From    int
 	Payload []byte

@@ -323,7 +323,7 @@ func (p *Plan) Delivery(r, from, to, nbits int) Delivery {
 	if !p.HasDeliveryFaults() {
 		return d
 	}
-	s := p.root.Split('d', uint64(r), uint64(from), uint64(to)) //lint:allow hotpathalloc stateless per-delivery coin: replayability is worth one short-lived Source
+	s := p.root.Split('d', uint64(r), uint64(from), uint64(to))
 	if s.Prob(p.spec.Drop) {
 		d.Drop = true
 		return d
@@ -346,5 +346,5 @@ func (p *Plan) CutEdge(r, u, v int) bool {
 	if v < u {
 		u, v = v, u
 	}
-	return p.root.Split('e', uint64(r), uint64(u), uint64(v)).Prob(p.spec.EdgeCut) //lint:allow hotpathalloc stateless per-edge coin: replayability is worth one short-lived Source
+	return p.root.Split('e', uint64(r), uint64(u), uint64(v)).Prob(p.spec.EdgeCut)
 }

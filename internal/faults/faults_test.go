@@ -238,6 +238,20 @@ func TestDeliveryZeroBitsNeverCorrupts(t *testing.T) {
 	}
 }
 
+// TestDeliveryAndCutEdgeAllocs pins the per-copy and per-edge coins to
+// the stack. Not parallel: AllocsPerRun reads process-wide counts.
+func TestDeliveryAndCutEdgeAllocs(t *testing.T) {
+	p := mustPlan(t, Spec{Seed: 5, Drop: 0.2, Dup: 0.2, Corrupt: 0.5, EdgeCut: 0.3})
+	r := 0
+	if avg := testing.AllocsPerRun(200, func() {
+		r++
+		p.Delivery(r, 3, 4, 40)
+		p.CutEdge(r, 4, 3)
+	}); avg != 0 {
+		t.Errorf("Delivery+CutEdge allocate %v per call, want 0", avg)
+	}
+}
+
 func TestCutEdgeSymmetricAndSeeded(t *testing.T) {
 	spec := Spec{Seed: 21, EdgeCut: 0.5}
 	a, b := mustPlan(t, spec), mustPlan(t, spec)

@@ -165,9 +165,10 @@ func (b *BoundedDiameterBuilder) reserve(n, depth, extra int) {
 // self-loops: the graph AddEdge would build from them, in time linear in
 // n + len(ends). It is a two-pass bucket build: the arcs are bucketed by
 // source, then transposed by scanning sources in ascending order, so every
-// row comes out sorted with no per-row sort and repeats sit side by side
-// for the dedup. The transposed rows overwrite ends, which becomes the
-// graph's arena.
+// row comes out sorted with no per-row sort. The transpose drops a repeat
+// as it arrives: it appends u to row v, so a repeat of (u, v) finds u
+// already at the end of row v. The transposed
+// rows overwrite ends, which becomes the graph's arena.
 func (b *BoundedDiameterBuilder) fromEnds(n int) *Graph {
 	ends := b.ends
 	start := b.start[:n+1]
@@ -190,27 +191,24 @@ func (b *BoundedDiameterBuilder) fromEnds(n int) *Graph {
 	}
 	clear(fill)
 	mem := ends
+	arcs := 0
 	for u := int32(0); int(u) < n; u++ {
 		for _, v := range bySrc[start[u]:start[u+1]] {
-			mem[start[v]+fill[v]] = u
+			at := start[v] + fill[v]
+			if fill[v] > 0 && mem[at-1] == u {
+				continue
+			}
+			mem[at] = u
 			fill[v]++
+			arcs++
 		}
 	}
 	adj := b.g.adj[:n]
-	arcs := 0
 	for v := range adj {
-		row := mem[start[v]:start[v+1]]
-		k := 0
-		for i, u := range row {
-			if i == 0 || u != row[k-1] {
-				row[k] = u
-				k++
-			}
-		}
 		// Capped at its own length, so a later AddEdge reallocates this row
 		// instead of overwriting the next row in the arena.
-		adj[v] = row[:k:k]
-		arcs += k
+		end := start[v] + fill[v]
+		adj[v] = mem[start[v]:end:end]
 	}
 	b.g.n, b.g.m, b.g.adj = n, arcs/2, adj
 	return &b.g

@@ -63,6 +63,7 @@ type knownDMachine struct {
 	coins  *rng.Source
 	done   bool
 	out    int64
+	wr     bitio.Writer // encodes every payload this machine sends
 }
 
 func (m *knownDMachine) Step(r int) (dynet.Action, dynet.Message) {
@@ -73,7 +74,8 @@ func (m *knownDMachine) Step(r int) (dynet.Action, dynet.Message) {
 	if !m.coins.Bool() {
 		return dynet.Receive, dynet.Message{}
 	}
-	var w bitio.Writer
+	w := &m.wr
+	w.Next()
 	w.WriteUvarint(uint64(m.maxID))
 	w.WriteUvarint(uint64(m.val))
 	return dynet.Send, dynet.Message{Payload: w.Bytes(), NBits: w.Len()}

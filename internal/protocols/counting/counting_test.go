@@ -363,3 +363,20 @@ func TestPickRecordAllocs(t *testing.T) {
 		t.Errorf("PickRecord allocates %v per call, want 0", avg)
 	}
 }
+
+// TestSetOwnAllocs pins SetOwn's per-copy coins to the stack: on a value
+// the sketch already holds, SetOwn and SetOwnWeighted allocate nothing.
+// Not parallel: AllocsPerRun reads process-wide counts.
+func TestSetOwnAllocs(t *testing.T) {
+	s := NewSketch(KFor(64))
+	coins := rng.New(3)
+	s.SetOwn(9, 0, coins)
+	nonce := uint64(0)
+	if avg := testing.AllocsPerRun(100, func() {
+		nonce++
+		s.SetOwn(9, nonce, coins)
+		s.SetOwnWeighted(9, 3, nonce, coins)
+	}); avg != 0 {
+		t.Errorf("SetOwn+SetOwnWeighted allocate %v per call, want 0", avg)
+	}
+}

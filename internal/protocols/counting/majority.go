@@ -56,6 +56,7 @@ type majorityMachine struct {
 	picks  *rng.Source
 	done   bool
 	out    int64
+	wr     bitio.Writer // encodes every payload this machine sends
 }
 
 func (m *majorityMachine) Step(r int) (dynet.Action, dynet.Message) {
@@ -72,8 +73,9 @@ func (m *majorityMachine) Step(r int) (dynet.Action, dynet.Message) {
 	if !ok {
 		return dynet.Receive, dynet.Message{}
 	}
-	var w bitio.Writer
-	EncodeRecord(&w, value, copy, min)
+	w := &m.wr
+	w.Next()
+	EncodeRecord(w, value, copy, min)
 	return dynet.Send, dynet.Message{Payload: w.Bytes(), NBits: w.Len()}
 }
 

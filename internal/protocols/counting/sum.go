@@ -65,6 +65,7 @@ type sumMachine struct {
 	picks  *rng.Source
 	done   bool
 	out    int64
+	wr     bitio.Writer // encodes every payload this machine sends
 }
 
 func (m *sumMachine) Step(r int) (dynet.Action, dynet.Message) {
@@ -79,8 +80,9 @@ func (m *sumMachine) Step(r int) (dynet.Action, dynet.Message) {
 	if !ok {
 		return dynet.Receive, dynet.Message{}
 	}
-	var w bitio.Writer
-	EncodeRecord(&w, value, copy, min)
+	w := &m.wr
+	w.Next()
+	EncodeRecord(w, value, copy, min)
 	return dynet.Send, dynet.Message{Payload: w.Bytes(), NBits: w.Len()}
 }
 

@@ -61,7 +61,7 @@ func (CFlood) Name() string { return "flood/cflood" }
 func (CFlood) NewMachine(cfg dynet.Config) dynet.Machine {
 	d := cfg.ExtraInt(ExtraD, int64(cfg.N-1))
 	src := int(cfg.ExtraInt(ExtraSource, 0))
-	m := &cfloodMachine{cfg: cfg, d: int(d), source: src}
+	m := &cfloodMachine{id: cfg.ID, d: int(d), source: src}
 	if cfg.ID == src {
 		m.token = cfg.Input
 		m.informed = true
@@ -70,21 +70,23 @@ func (CFlood) NewMachine(cfg dynet.Config) dynet.Machine {
 }
 
 type cfloodMachine struct {
-	cfg      dynet.Config
+	id       int
 	d        int
 	source   int
 	token    int64
 	informed bool
 	done     bool
+	wr       bitio.Writer // encodes every payload this machine sends
 }
 
 func (m *cfloodMachine) Step(r int) (dynet.Action, dynet.Message) {
 	if !m.informed {
 		return dynet.Receive, dynet.Message{}
 	}
-	var w bitio.Writer
+	w := &m.wr
+	w.Next()
 	w.WriteUvarint(uint64(m.token))
-	if m.cfg.ID == m.source && r >= m.d {
+	if m.id == m.source && r >= m.d {
 		// The token has had D rounds to follow every causal path; the
 		// source confirms. (It keeps sending afterwards, harmlessly.)
 		m.done = true
@@ -111,10 +113,8 @@ func (m *cfloodMachine) Deliver(r int, msgs []dynet.Message) {
 func (m *cfloodMachine) FloodSpec() dynet.FloodSpec {
 	s := dynet.FloodSpec{Source: m.source, D: m.d, Informed: m.informed, Done: m.done}
 	if m.informed {
-		var w bitio.Writer
-		w.WriteUvarint(uint64(m.token))
 		s.Token = m.token
-		s.TokenBits = w.Len()
+		s.TokenBits = bitio.UvarintLen(uint64(m.token))
 	}
 	return s
 }
@@ -130,13 +130,13 @@ func (m *cfloodMachine) SyncFlood(informed bool, token int64, rounds int) {
 		m.informed = true
 		m.token = token
 	}
-	if m.cfg.ID == m.source && m.informed && rounds >= m.d {
+	if m.id == m.source && m.informed && rounds >= m.d {
 		m.done = true
 	}
 }
 
 func (m *cfloodMachine) Output() (int64, bool) {
-	if m.cfg.ID == m.source {
+	if m.id == m.source {
 		if m.done {
 			return m.token, true
 		}
@@ -182,6 +182,7 @@ type pfloodMachine struct {
 	token    int64
 	informed bool
 	done     bool
+	wr       bitio.Writer // encodes every payload this machine sends
 }
 
 func (m *pfloodMachine) Step(r int) (dynet.Action, dynet.Message) {
@@ -191,7 +192,8 @@ func (m *pfloodMachine) Step(r int) (dynet.Action, dynet.Message) {
 	if !m.informed || !m.cfg.Coins.At(m.cfg.ID, r).Prob(m.p) {
 		return dynet.Receive, dynet.Message{}
 	}
-	var w bitio.Writer
+	w := &m.wr
+	w.Next()
 	w.WriteUvarint(uint64(m.token))
 	return dynet.Send, dynet.Message{Payload: w.Bytes(), NBits: w.Len()}
 }

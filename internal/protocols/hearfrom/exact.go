@@ -44,6 +44,7 @@ type exactMachine struct {
 	order []int // rotation order for gossip
 	next  int
 	coins *rng.Source
+	wr    bitio.Writer // encodes every payload this machine sends
 }
 
 func (m *exactMachine) Step(r int) (dynet.Action, dynet.Message) {
@@ -52,7 +53,8 @@ func (m *exactMachine) Step(r int) (dynet.Action, dynet.Message) {
 	}
 	id := m.order[m.next%len(m.order)]
 	m.next++
-	var w bitio.Writer
+	w := &m.wr
+	w.Next()
 	w.WriteUvarint(uint64(id))
 	return dynet.Send, dynet.Message{Payload: w.Bytes(), NBits: w.Len()}
 }

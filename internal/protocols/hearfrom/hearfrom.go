@@ -58,6 +58,7 @@ type maxMachine struct {
 	best   int64
 	coins  *rng.Source
 	done   bool
+	wr     bitio.Writer // encodes every payload this machine sends
 }
 
 func (m *maxMachine) Step(r int) (dynet.Action, dynet.Message) {
@@ -67,7 +68,8 @@ func (m *maxMachine) Step(r int) (dynet.Action, dynet.Message) {
 	if !m.coins.Bool() {
 		return dynet.Receive, dynet.Message{}
 	}
-	var w bitio.Writer
+	w := &m.wr
+	w.Next()
 	w.WriteUvarint(uint64(m.best))
 	return dynet.Send, dynet.Message{Payload: w.Bytes(), NBits: w.Len()}
 }
@@ -125,6 +127,7 @@ type hearFromMachine struct {
 	sketch *counting.Sketch
 	coins  *rng.Source
 	done   bool
+	wr     bitio.Writer // encodes every payload this machine sends
 }
 
 func (m *hearFromMachine) Step(r int) (dynet.Action, dynet.Message) {
@@ -140,8 +143,9 @@ func (m *hearFromMachine) Step(r int) (dynet.Action, dynet.Message) {
 	if !ok {
 		return dynet.Receive, dynet.Message{}
 	}
-	var w bitio.Writer
-	counting.EncodeRecord(&w, value, copy, min)
+	w := &m.wr
+	w.Next()
+	counting.EncodeRecord(w, value, copy, min)
 	return dynet.Send, dynet.Message{Payload: w.Bytes(), NBits: w.Len()}
 }
 

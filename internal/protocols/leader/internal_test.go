@@ -147,3 +147,44 @@ func TestSpreadRotationCarriesUnlocks(t *testing.T) {
 		t.Fatalf("rotation incomplete: unlock=%v max=%v", sawUnlock, sawMax)
 	}
 }
+
+// TestSteadyStateRoundAllocs pins the message path's per-round cost inside
+// a subphase: a round of Step on every machine and Deliver of the senders'
+// messages to every receiver allocates nothing but the payload chunks
+// bitio.Writer.Next shares among dozens of messages, well under one per
+// round, which AllocsPerRun's whole-number average reports as 0. Not
+// parallel: AllocsPerRun reads process-wide counts.
+func TestSteadyStateRoundAllocs(t *testing.T) {
+	const n = 16
+	ms := dynet.NewMachines(Protocol{}, n, nil, 3, nil)
+	sent := make([]dynet.Message, 0, n)
+	recv := make([]dynet.Machine, 0, n)
+	r := 0
+	round := func() {
+		r++
+		sent, recv = sent[:0], recv[:0]
+		for _, m := range ms {
+			if act, msg := m.Step(r); act == dynet.Send {
+				sent = append(sent, msg)
+			} else {
+				recv = append(recv, m)
+			}
+		}
+		for _, m := range recv {
+			m.Deliver(r, sent)
+		}
+	}
+	m0 := ms[0].(*machine)
+	for {
+		round()
+		if _, sub, idx := m0.locate(r + 1); sub == subCount1 && idx == 10 {
+			break
+		}
+	}
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
+		t.Errorf("steady-state round allocates %v, want 0", avg)
+	}
+	if _, sub, _ := m0.locate(r); sub != subCount1 {
+		t.Fatalf("round %d left COUNT1: the measurement crossed a subphase boundary", r)
+	}
+}

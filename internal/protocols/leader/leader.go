@@ -154,7 +154,8 @@ type machine struct {
 	skipStage1  bool
 	outputValue bool
 	coins       *rng.Source
-	obs         obs.Sink // nil unless the run is instrumented
+	obs         obs.Sink     // nil unless the run is instrumented
+	wr          bitio.Writer // encodes every payload this machine sends
 
 	// Gossip state.
 	maxID     int            // largest id seen
@@ -356,16 +357,18 @@ func (m *machine) stepCount(s *counting.Sketch, tag uint64) (dynet.Action, dynet
 	if !ok {
 		return dynet.Receive, dynet.Message{}
 	}
-	var w bitio.Writer
+	w := &m.wr
+	w.Next()
 	w.WriteUint(tag, 3)
-	counting.EncodeRecord(&w, value, copy, min)
+	counting.EncodeRecord(w, value, copy, min)
 	return dynet.Send, dynet.Message{Payload: w.Bytes(), NBits: w.Len()}
 }
 
 func (m *machine) encodeSpread(idx int) dynet.Message {
 	// Rotate deterministically between the max-id payload and pending
 	// unlock notices so both make progress.
-	var w bitio.Writer
+	w := &m.wr
+	w.Next()
 	if len(m.pending) > 0 && idx%2 == 1 {
 		key := m.pending[(idx/2)%len(m.pending)]
 		w.WriteUint(msgUnlock, 3)
@@ -379,14 +382,16 @@ func (m *machine) encodeSpread(idx int) dynet.Message {
 }
 
 func (m *machine) encodeLock(tag uint64, key lockKey) dynet.Message {
-	var w bitio.Writer
+	w := &m.wr
+	w.Next()
 	w.WriteUint(tag, 3)
 	w.WriteUvarint(uint64(key.encode()))
 	return dynet.Message{Payload: w.Bytes(), NBits: w.Len()}
 }
 
 func (m *machine) encodeLeader() dynet.Message {
-	var w bitio.Writer
+	w := &m.wr
+	w.Next()
 	w.WriteUint(msgLeader, 3)
 	w.WriteUvarint(uint64(m.leaderID))
 	w.WriteUvarint(uint64(m.leaderVal))

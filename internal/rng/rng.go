@@ -48,18 +48,20 @@ func New(seed uint64) *Source {
 // Split derives an independent child stream labeled by words. The parent is
 // unchanged: Split is a pure function of (parent seed, words), which is what
 // allows Alice and Bob to regenerate any node's coins from the public seed.
+// Split is small enough to inline, so a child that does not outlive its
+// caller stays on the caller's stack.
 func (s *Source) Split(words ...uint64) *Source {
+	c := s.split(words)
+	return &c
+}
+
+// split is Split by value.
+func (s *Source) split(words []uint64) Source {
 	k := s.state
 	for _, w := range words {
 		k = combine(k, w)
 	}
-	return &Source{state: mix64(k)}
-}
-
-// SplitValue returns *s.Split(w) by value, so a caller that derives a fresh
-// stream every round can keep it in memory it owns instead of on the heap.
-func (s *Source) SplitValue(w uint64) Source {
-	return Source{state: mix64(combine(s.state, w))}
+	return Source{state: mix64(k)}
 }
 
 // At is shorthand for the per-node per-round stream used by protocol
@@ -80,12 +82,13 @@ func (s *Source) Intn(n int) int {
 		//lint:allow panicfree mirrors math/rand.Intn's contract; a non-positive bound is a programming error
 		panic("rng: Intn with non-positive n")
 	}
-	// Rejection sampling to avoid modulo bias.
+	// Rejection sampling to avoid modulo bias: accept v below
+	// limit = MaxUint64 - MaxUint64%n. Every v <= MaxUint64-n is below it,
+	// so limit (a second division) is computed only for the top n values.
 	max := uint64(n)
-	limit := math.MaxUint64 - math.MaxUint64%max
 	for {
 		v := s.Uint64()
-		if v < limit {
+		if v <= math.MaxUint64-max || v < math.MaxUint64-math.MaxUint64%max {
 			return int(v % max)
 		}
 	}

@@ -77,10 +77,6 @@ func TestAtMatchesSplit(t *testing.T) {
 			t.Fatal("At(5,17) differs from Split(6,18)")
 		}
 	}
-	c, d := root.SplitValue(7), root.Split(7)
-	if c != *d {
-		t.Fatalf("SplitValue(7) = %v, Split(7) = %v", c, *d)
-	}
 }
 
 func TestIntnRange(t *testing.T) {
@@ -194,6 +190,116 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 		}
 	}()
 	New(1).Intn(0)
+}
+
+// refIntn is Intn as it was before the one-division fast path: it computes
+// the rejection limit for every draw. Intn must return the same value and
+// leave the same stream state for every stream.
+func refIntn(s *Source, n int) int {
+	max := uint64(n)
+	limit := math.MaxUint64 - math.MaxUint64%max
+	for {
+		v := s.Uint64()
+		if v < limit {
+			return int(v % max)
+		}
+	}
+}
+
+// unmix64 inverts mix64.
+func unmix64(z uint64) uint64 {
+	z = unxorShift(z, 31)
+	z *= mulInverse(mixK1)
+	z = unxorShift(z, 27)
+	z *= mulInverse(mixK0)
+	return unxorShift(z, 30)
+}
+
+// unxorShift inverts z ^= z >> s.
+func unxorShift(y uint64, s uint) uint64 {
+	x := y
+	for shift := s; shift < 64; shift += s {
+		x ^= y >> shift
+	}
+	return x
+}
+
+// mulInverse returns the inverse of odd k modulo 2^64 (Newton's iteration
+// doubles the correct low bits each step).
+func mulInverse(k uint64) uint64 {
+	inv := k
+	for i := 0; i < 6; i++ {
+		inv *= 2 - k*inv
+	}
+	return inv
+}
+
+// firstDraw returns the stream whose next Uint64 is v.
+func firstDraw(v uint64) Source { return Source{state: unmix64(v) - gamma} }
+
+func TestUnmix64(t *testing.T) {
+	t.Parallel()
+	for _, z := range []uint64{0, 1, gamma, math.MaxUint64, 1 << 63} {
+		if got := mix64(unmix64(z)); got != z {
+			t.Errorf("mix64(unmix64(%#x)) = %#x", z, got)
+		}
+	}
+	for _, v := range []uint64{0, 7, math.MaxUint64} {
+		s := firstDraw(v)
+		if got := s.Uint64(); got != v {
+			t.Errorf("firstDraw(%#x) draws %#x", v, got)
+		}
+	}
+}
+
+// TestIntnMatchesReference starts Intn on streams whose first draw sits
+// exactly at the fast path's edge (MaxUint64-n, MaxUint64-n+1), at the
+// rejection limit's edge (limit-1, limit) and at MaxUint64, where a
+// rejected draw makes both versions draw again.
+func TestIntnMatchesReference(t *testing.T) {
+	t.Parallel()
+	for _, n := range []int{1, 2, 3, 5, 1<<31 - 1, 1<<32 + 1, 1<<62 + 1, math.MaxInt} {
+		max := uint64(n)
+		limit := math.MaxUint64 - math.MaxUint64%max
+		for _, v := range []uint64{math.MaxUint64 - max, math.MaxUint64 - max + 1, limit - 1, limit, math.MaxUint64} {
+			got, want := firstDraw(v), firstDraw(v)
+			if g, w := got.Intn(n), refIntn(&want, n); g != w || got != want {
+				t.Errorf("n=%d first draw %#x: Intn = %d (state %#x), reference %d (state %#x)",
+					n, v, g, got.state, w, want.state)
+			}
+		}
+	}
+}
+
+// FuzzIntnEquivalence runs Intn and the reference side by side for a few
+// draws, once from the fuzzed stream and once from a stream whose first
+// draw lies in the top n+1 values, where the two paths differ.
+func FuzzIntnEquivalence(f *testing.F) {
+	f.Add(uint64(0), uint64(1))
+	f.Add(uint64(3), uint64(5))
+	f.Add(uint64(1), uint64(1<<32+1))
+	f.Add(uint64(math.MaxUint64), uint64(math.MaxInt))
+	f.Fuzz(func(t *testing.T, state, n uint64) {
+		nn := int(n>>1) + 1
+		if nn <= 0 {
+			nn = math.MaxInt
+		}
+		for _, start := range []Source{{state: state}, firstDraw(math.MaxUint64 - state%(uint64(nn)+1))} {
+			got, want := start, start
+			for i := 0; i < 4; i++ {
+				if g, w := got.Intn(nn), refIntn(&want, nn); g != w || got != want {
+					t.Fatalf("n=%d from state %#x, draw %d: Intn = %d, reference %d", nn, start.state, i, g, w)
+				}
+			}
+		}
+	})
+}
+
+func BenchmarkIntn(b *testing.B) {
+	s := New(1)
+	for i := 0; i < b.N; i++ {
+		s.Intn(i&127 + 1)
+	}
 }
 
 func BenchmarkUint64(b *testing.B) {
