@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 BENCHOUT ?=
-FUZZPKGS ?= ./internal/dynet ./internal/faults ./internal/advsearch ./internal/bitio ./internal/rng
+FUZZPKGS ?= ./internal/dynet ./internal/faults ./internal/advsearch ./internal/bitio ./internal/rng ./internal/adversaries
 
 .PHONY: build test race stress lint fuzz bench benchtest chaos ci
 

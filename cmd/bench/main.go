@@ -11,15 +11,22 @@
 // baseline and the process exits non-zero if any benchmark regressed by
 // more than -max-regress percent (default 20) — the regression gate CI
 // runs against the committed BENCH_*.json.
+//
+// Each benchmark runs repeats times and every recorded figure is the
+// median of those runs, so a single slow pass on a shared host neither
+// fails the gate nor lands in a baseline.
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
+	"maps"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -43,6 +50,7 @@ type baseline struct {
 	GOARCH     string        `json:"goarch"`
 	GOMAXPROCS int           `json:"gomaxprocs"`
 	Short      bool          `json:"short,omitempty"`
+	Repeats    int           `json:"repeats,omitempty"`
 	Benchmarks []benchResult `json:"benchmarks"`
 }
 
@@ -66,28 +74,14 @@ func main() {
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Short:      *short,
+		Repeats:    repeats,
 	}
 
 	for _, bm := range workloads(*short) {
 		if *only != "" && !strings.Contains(bm.name, *only) {
 			continue
 		}
-		r := testing.Benchmark(bm.fn)
-		res := benchResult{
-			Name:        bm.name,
-			NsPerOp:     float64(r.NsPerOp()),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		}
-		if rounds, ok := r.Extra["rounds/op"]; ok && r.NsPerOp() > 0 {
-			res.RoundsPerSec = rounds / float64(r.NsPerOp()) * 1e9
-		}
-		if len(r.Extra) > 0 {
-			res.Metrics = map[string]float64{}
-			for k, v := range r.Extra {
-				res.Metrics[k] = v
-			}
-		}
+		res := measure(bm.name, bm.fn)
 		base.Benchmarks = append(base.Benchmarks, res)
 		fmt.Printf("%-28s %12.0f ns/op %10d allocs/op %12d B/op", res.Name, res.NsPerOp, res.AllocsPerOp, res.BytesPerOp)
 		if res.RoundsPerSec > 0 {
@@ -118,6 +112,46 @@ func main() {
 			log.Fatalf("FAIL: worst ns/op regression %.1f%% exceeds -max-regress %.1f%%", worst, *maxRegress)
 		}
 	}
+}
+
+// repeats is how many times each benchmark runs; its figures are medians.
+const repeats = 3
+
+// measure runs fn repeats times under testing.Benchmark and returns the
+// median of each figure: ns/op, allocs/op, bytes/op and rounds/s each
+// take their own median, and the extra metrics come from the run with the
+// median ns/op.
+func measure(name string, fn func(b *testing.B)) benchResult {
+	runs := make([]benchResult, repeats)
+	for i := range runs {
+		r := testing.Benchmark(fn)
+		runs[i] = benchResult{
+			Name:        name,
+			NsPerOp:     float64(r.NsPerOp()),
+			AllocsPerOp: r.AllocsPerOp(),
+			BytesPerOp:  r.AllocedBytesPerOp(),
+			Metrics:     maps.Clone(r.Extra),
+		}
+		if rounds, ok := r.Extra["rounds/op"]; ok && r.NsPerOp() > 0 {
+			runs[i].RoundsPerSec = rounds / float64(r.NsPerOp()) * 1e9
+		}
+	}
+	slices.SortFunc(runs, func(a, b benchResult) int { return cmp.Compare(a.NsPerOp, b.NsPerOp) })
+	res := runs[len(runs)/2]
+	res.AllocsPerOp = median(runs, func(r benchResult) int64 { return r.AllocsPerOp })
+	res.BytesPerOp = median(runs, func(r benchResult) int64 { return r.BytesPerOp })
+	res.RoundsPerSec = median(runs, func(r benchResult) float64 { return r.RoundsPerSec })
+	return res
+}
+
+// median returns the median of one figure across runs.
+func median[T int64 | float64](runs []benchResult, of func(benchResult) T) T {
+	vals := make([]T, len(runs))
+	for i, r := range runs {
+		vals[i] = of(r)
+	}
+	slices.Sort(vals)
+	return vals[len(vals)/2]
 }
 
 // workloads mirrors the headline bench_test.go benchmarks so the baseline

@@ -15,14 +15,17 @@ import (
 //
 // An edge is present exactly when it is a tree edge or some slot holds
 // it. Tree membership is an O(1) test against the tree's parent array,
-// computed once at construction; slot multiplicities live in a count
-// table keyed only by edges that some slot holds (at most `extra` keys),
-// and a key leaves the table when its count reaches zero. A rewire emits
-// a Del for the slot's old edge only when neither the tree nor another
-// slot still covers it, then an Add for its new edge only when nothing
-// covered it before, so overlapping slots never emit a premature
-// deletion, and every round's topology contains the tree and is
-// connected unconditionally.
+// computed once at construction. Slot edges are normalized to u < v and
+// threaded into intrusive per-vertex chains: head[u] starts the chain of
+// slots whose low endpoint is u and next links it, so an edge's
+// multiplicity is the number of slots in its low endpoint's chain that
+// share its high endpoint. Chains hold extra/n slots on average (0.125
+// with N/8 slots), so a rewire costs two short walks and no hashing. A
+// rewire unlinks its slot and emits a Del for the old edge only when
+// neither the tree nor another slot still covers it, then links the slot
+// under its new edge and emits an Add only when nothing covered it
+// before, so overlapping slots never emit a premature deletion, and every
+// round's topology contains the tree and is connected unconditionally.
 //
 // Under the Diff pattern the consumer applies each script to its own
 // snapshot, so DeltaChurn does not maintain a graph of its own there:
@@ -40,11 +43,12 @@ type DeltaChurn struct {
 	slots   [][2]int
 	rewires int
 	src     *rng.Source
-	parent  []int32          // tree parent of each vertex, -1 at the root
-	counts  map[uint64]int32 // multiplicity of each slot-held edge
-	cur     *graph.Graph     // maintained topology for the Topology pattern
-	stale   bool             // Diff has advanced the slots past cur
-	script  dynet.EdgeDiff   // Topology's per-round script, applied to cur
+	parent  []int32        // tree parent of each vertex, -1 at the root
+	head    []int32        // 1-based first slot of each low endpoint's chain, 0 if empty
+	next    []int32        // 1-based next slot in the same chain, 0 at its end
+	cur     *graph.Graph   // maintained topology for the Topology pattern
+	stale   bool           // Diff has advanced the slots past cur
+	script  dynet.EdgeDiff // Topology's per-round script, applied to cur
 }
 
 // NewDeltaChurn builds a delta-encoding churn adversary over n nodes with
@@ -58,16 +62,17 @@ func NewDeltaChurn(n, extra, rewires int, seed uint64) *DeltaChurn {
 	tree := graph.RandomConnected(n, 0, src.Split('t'))
 	c := &DeltaChurn{
 		n: n, rewires: rewires, src: src,
-		slots:  make([][2]int, 0, extra),
+		slots:  make([][2]int, extra),
 		parent: treeParents(tree),
-		counts: make(map[uint64]int32, extra),
+		head:   make([]int32, n),
+		next:   make([]int32, extra),
 		cur:    tree,
 	}
 	ssrc := src.Split('s')
-	for i := 0; i < extra; i++ {
+	for i := range c.slots {
 		e := c.randomEdge(ssrc)
-		c.slots = append(c.slots, e)
-		c.counts[c.key(e)]++
+		c.slots[i] = e
+		c.link(i)
 		c.cur.AddEdge(e[0], e[1])
 	}
 	return c
@@ -95,27 +100,36 @@ func treeParents(t *graph.Graph) []int32 {
 	return parent
 }
 
-// key maps a normalized edge (u < v) to its count-table key.
-func (c *DeltaChurn) key(e [2]int) uint64 { return uint64(e[0])*uint64(c.n) + uint64(e[1]) }
-
-// hold adds a slot to edge k's count and returns the new count.
-func (c *DeltaChurn) hold(k uint64) int32 {
-	n := c.counts[k] + 1
-	c.counts[k] = n
-	return n
+// link pushes slot si onto the chain of its edge's low endpoint and
+// reports whether another slot in that chain already held the same edge.
+func (c *DeltaChurn) link(si int) (held bool) {
+	e := c.slots[si]
+	for s := c.head[e[0]]; s != 0; s = c.next[s-1] {
+		if c.slots[s-1][1] == e[1] {
+			held = true
+			break
+		}
+	}
+	c.next[si] = c.head[e[0]]
+	c.head[e[0]] = int32(si + 1)
+	return held
 }
 
-// release removes a slot from edge k's count, deleting the key when the
-// count reaches zero so the table never outgrows the slots, and returns
-// the new count.
-func (c *DeltaChurn) release(k uint64) int32 {
-	n := c.counts[k] - 1
-	if n == 0 {
-		delete(c.counts, k)
-	} else {
-		c.counts[k] = n
+// unlink removes slot si from the chain of its edge's low endpoint and
+// reports whether another slot in that chain still holds the same edge.
+func (c *DeltaChurn) unlink(si int) (held bool) {
+	e := c.slots[si]
+	p := &c.head[e[0]]
+	for *p != 0 {
+		s := *p - 1
+		if int(s) == si {
+			*p = c.next[s]
+			continue
+		}
+		held = held || c.slots[s][1] == e[1]
+		p = &c.next[s]
 	}
-	return n
+	return held
 }
 
 // inTree reports whether the edge is a spanning-tree edge.
@@ -147,11 +161,11 @@ func (c *DeltaChurn) advance(r int, d *dynet.EdgeDiff) {
 	for i := 0; i < c.rewires; i++ {
 		si := rsrc.Intn(len(c.slots))
 		old, e := c.slots[si], c.randomEdge(rsrc)
-		c.slots[si] = e
-		if c.release(c.key(old)) == 0 && !c.inTree(old) {
+		if !c.unlink(si) && !c.inTree(old) {
 			d.Del(old[0], old[1])
 		}
-		if c.hold(c.key(e)) == 1 && !c.inTree(e) {
+		c.slots[si] = e
+		if !c.link(si) && !c.inTree(e) {
 			d.Add(e[0], e[1])
 		}
 	}
@@ -171,6 +185,8 @@ func (c *DeltaChurn) Topology(r int, _ []dynet.Action) *graph.Graph {
 
 // Diff implements dynet.DeltaAdversary. The consumer applies d to its own
 // snapshot, so cur is left behind until Topology next needs it.
+//
+//lint:hotpath
 func (c *DeltaChurn) Diff(r int, _ []dynet.Action, d *dynet.EdgeDiff) {
 	c.advance(r, d)
 	c.stale = true

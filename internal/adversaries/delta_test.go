@@ -195,6 +195,88 @@ func TestDeltaChurnMatchesMapReference(t *testing.T) {
 	}
 }
 
+// FuzzDeltaChurnMatchesMapReference widens TestDeltaChurnMatchesMapReference
+// to arbitrary small sizes, seeds and horizons: every round's script must
+// equal the map-based reference op for op, and the topology rebuilt from
+// the slot chains at the end must equal the reference graph. Inputs
+// outside n ∈ [2, 64], extra ∈ [0, 80], rewires ∈ [0, 60] and
+// rounds ∈ [0, 300] wrap into those ranges.
+func FuzzDeltaChurnMatchesMapReference(f *testing.F) {
+	for _, tc := range []struct{ n, extra, rewires uint8 }{
+		{3, 4, 1}, {8, 3, 1}, {16, 40, 30}, {64, 5, 50}, {200, 60, 20},
+	} {
+		f.Add(tc.n, tc.extra, tc.rewires, uint64(17), uint16(300))
+	}
+	f.Fuzz(func(t *testing.T, n, extra, rewires uint8, seed uint64, rounds uint16) {
+		nn, ne, nr, rr := 2+int(n)%63, int(extra)%81, int(rewires)%61, int(rounds)%301
+		c := NewDeltaChurn(nn, ne, nr, seed)
+		ref := newMapChurn(nn, ne, nr, seed)
+		actions := make([]dynet.Action, nn)
+		if !deltaGraphsEqual(c.Topology(1, actions), ref.cur) {
+			t.Fatalf("n=%d extra=%d rewires=%d seed=%d: base topologies differ", nn, ne, nr, seed)
+		}
+		var got, want dynet.EdgeDiff
+		for r := 2; r <= rr; r++ {
+			got.Reset()
+			want.Reset()
+			c.Diff(r, actions, &got)
+			ref.advance(r, &want)
+			if !slices.Equal(got.Ops, want.Ops) {
+				t.Fatalf("n=%d extra=%d rewires=%d seed=%d round %d: script %v, reference %v",
+					nn, ne, nr, seed, r, got.Ops, want.Ops)
+			}
+		}
+		last := max(rr, 1) + 1
+		ref.advance(last, nil)
+		if !deltaGraphsEqual(c.Topology(last, actions), ref.cur) {
+			t.Fatalf("n=%d extra=%d rewires=%d seed=%d: rebuilt topology differs from the reference",
+				nn, ne, nr, seed)
+		}
+	})
+}
+
+// TestDeltaChurnChainsCoverSlots checks the slot chains after every Diff,
+// on sizes where slots collide heavily: walking every vertex's chain
+// visits each slot exactly once, and each slot sits in the chain of its
+// own edge's low endpoint. A slot left behind in its old chain would
+// otherwise surface only as a wrong suppression many rounds later.
+func TestDeltaChurnChainsCoverSlots(t *testing.T) {
+	const rounds = 600
+	for _, tc := range []struct{ n, extra, rewires int }{
+		{3, 4, 1}, {8, 3, 1}, {16, 40, 30},
+	} {
+		c := NewDeltaChurn(tc.n, tc.extra, tc.rewires, 17)
+		actions := make([]dynet.Action, tc.n)
+		seen := make([]bool, len(c.slots))
+		var d dynet.EdgeDiff
+		for r := 1; r <= rounds; r++ {
+			if r > 1 {
+				d.Reset()
+				c.Diff(r, actions, &d)
+			}
+			clear(seen)
+			visited := 0
+			for u := range c.head {
+				for s := c.head[u]; s != 0; s = c.next[s-1] {
+					si := int(s - 1)
+					if seen[si] {
+						t.Fatalf("%+v round %d: slot %d reached twice (vertex %d)", tc, r, si, u)
+					}
+					seen[si] = true
+					visited++
+					if c.slots[si][0] != u {
+						t.Fatalf("%+v round %d: slot %d holds %v but sits in vertex %d's chain",
+							tc, r, si, c.slots[si], u)
+					}
+				}
+			}
+			if visited != len(c.slots) {
+				t.Fatalf("%+v round %d: chains cover %d of %d slots", tc, r, visited, len(c.slots))
+			}
+		}
+	}
+}
+
 // TestDeltaChurnMixedPatterns drives one instance with Topology(1), Diff
 // for rounds 2..k and Topology again from round k+1: the stale maintained
 // topology must be rebuilt to match a Topology-only instance, and stay
