@@ -15,10 +15,13 @@ race:
 	$(GO) test -race ./...
 
 # Repeated runs of the serving layer, whose parallel tests run real sweeps
-# side by side: a test that leaks state into another fails here.
+# side by side: a test that leaks state into another fails here. The wire
+# line repeats the distributed runs under the race detector, where a node
+# rejoining late in a run races the coordinator's shutdown.
 stress:
 	$(GO) test -count=200 ./internal/serve
 	$(GO) test -race -count=10 ./internal/serve
+	$(GO) test -race -count=20 -run 'TestDistributed' ./internal/wire
 
 lint:
 	$(GO) vet ./...

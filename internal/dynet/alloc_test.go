@@ -39,30 +39,23 @@ func newPingEngine(n int) *Engine {
 	}
 }
 
-// TestEngineRoundZeroAllocs pins the tentpole claim: the engine's
-// steady-state round loop — step, budget accounting, topology, connectivity
-// check, inbox assembly, delivery — performs zero allocations per round once
-// the per-execution buffers exist. It drives the same phase functions
-// Engine.Run calls, over warmed buffers, under testing.AllocsPerRun.
+// TestEngineRoundZeroAllocs pins the zero-allocation claim: the round kernel's
+// steady-state round — step, budget accounting, topology, connectivity
+// check, inbox assembly, delivery, termination — performs zero
+// allocations once the per-execution buffers exist. It drives the
+// kernel's round over Engine.Run's in-process nodes, after newKernel
+// allocated those buffers, under testing.AllocsPerRun.
 func TestEngineRoundZeroAllocs(t *testing.T) {
 	const n = 64
 	e := newPingEngine(n)
-	actions := make([]Action, n)
-	outgoing := make([]Message, n)
-	inboxes := make([][]Message, n)
-	dist := make([]int32, n)
-	queue := make([]int32, n)
+	k := newKernel(e, (*engineNodes)(e), n, 0)
 
 	r := 0
 	round := func() {
 		r++
-		e.step(r, actions, outgoing, nil)
-		g := e.Adv.Topology(r, actions)
-		if !g.ConnectedInto(dist, queue) {
-			t.Fatal("ring disconnected")
+		if _, err := k.round(r); err != nil {
+			t.Fatal(err)
 		}
-		collect(g, actions, outgoing, inboxes)
-		e.deliver(r, actions, inboxes, nil)
 	}
 	// Warm the inbox backing arrays: both parities of the ping schedule.
 	round()

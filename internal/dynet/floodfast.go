@@ -1,7 +1,6 @@
 package dynet
 
 import (
-	"fmt"
 	"math/bits"
 
 	"dyndiam/internal/bitkernel"
@@ -120,8 +119,10 @@ func (e *Engine) RunFlood(maxRounds int, stop FloodStop) (*Result, error) {
 //     of the word-packed kernel;
 //   - maxRounds >= 1 and the stop node is in range.
 //
-// Workers is ignored: the fast path is sequential, and sequential and
-// parallel message-path execution are bit-identical anyway.
+// Workers is ignored: the fast path is sequential. It shares the round
+// kernel's topology check (RunNodes) and its engine_* metrics; it also
+// counts engine_floodfast_runs_total once it engages, even if the run
+// then fails, and engine_floodfast_diff_ops_total after a run succeeds.
 //
 //lint:hotpath
 func (e *Engine) TryFloodFast(maxRounds int, stop FloodStop) (*Result, bool, error) {
@@ -168,13 +169,9 @@ func (e *Engine) TryFloodFast(maxRounds int, stop FloodStop) (*Result, bool, err
 		return nil, false, nil
 	}
 
-	budget := e.Budget
-	if budget == 0 {
-		budget = Budget(n)
-	}
-	sendersHist := e.Metrics.Histogram("engine_round_senders", RoundHistBounds) //lint:allow hotpathalloc setup-phase registry lookup, amortized across the run
-	bitsHist := e.Metrics.Histogram("engine_round_bits", RoundHistBounds)       //lint:allow hotpathalloc setup-phase registry lookup, amortized across the run
-	if tokenBits > budget {
+	e.Metrics.Counter("engine_floodfast_runs_total").Add(1) //lint:allow hotpathalloc setup-phase registry lookup, once per run
+	metrics := newRunMetrics(e.Metrics)                     //lint:allow hotpathalloc setup-phase registry lookups, amortized across the run
+	if budget := e.budget(n); tokenBits > budget {
 		// Run would reject the lowest-id sender in round 1, before
 		// consulting the adversary; every sender carries the same
 		// constant token, so round 1 decides.
@@ -188,8 +185,7 @@ func (e *Engine) TryFloodFast(maxRounds int, stop FloodStop) (*Result, bool, err
 	}
 	if e.Metrics != nil {
 		cfg.OnRound = func(_, senders, payloadBits int) { //lint:allow hotpathalloc setup-phase closure construction; the body is allocation-free
-			sendersHist.Observe(int64(senders))
-			bitsHist.Observe(int64(payloadBits))
+			metrics.observe(senders, payloadBits)
 		}
 	}
 	if e.Obs != nil {
@@ -225,34 +221,36 @@ func (e *Engine) TryFloodFast(maxRounds int, stop FloodStop) (*Result, bool, err
 		return nil, true, err
 	}
 
-	res := &Result{ //lint:allow hotpathalloc post-kernel result assembly
-		Rounds:   fres.Rounds,
-		Done:     fres.Done,
-		Messages: fres.Messages,
-		Bits:     fres.Bits,
-		Outputs:  make([]int64, n), //lint:allow hotpathalloc post-kernel result assembly
-		Decided:  make([]bool, n),  //lint:allow hotpathalloc post-kernel result assembly
-	}
-	for v, m := range e.Machines {
-		bf := m.(BitFlooder)
-		bf.SyncFlood(fres.Informed.Test(v), token, fres.Rounds)
-		res.Outputs[v], res.Decided[v] = m.Output()
-	}
-	if e.Metrics != nil {
-		e.Metrics.Counter("engine_rounds_total").Add(int64(res.Rounds))               //lint:allow hotpathalloc post-kernel metrics flush
-		e.Metrics.Counter("engine_messages_total").Add(int64(res.Messages))           //lint:allow hotpathalloc post-kernel metrics flush
-		e.Metrics.Counter("engine_bits_total").Add(int64(res.Bits))                   //lint:allow hotpathalloc post-kernel metrics flush
-		e.Metrics.Counter("engine_floodfast_runs_total").Add(1)                       //lint:allow hotpathalloc post-kernel metrics flush
-		e.Metrics.Counter("engine_floodfast_diff_ops_total").Add(int64(topo.diffOps)) //lint:allow hotpathalloc post-kernel metrics flush
-	}
+	res := e.syncFlood(fres, token, metrics, topo.diffOps) //lint:allow hotpathalloc post-kernel result assembly and metrics flush
 	runSpan.End(int32(fres.Rounds), int64(fres.InformedCount))
 	return res, true, nil
 }
 
+// syncFlood writes a finished fast-path run back into the machines,
+// assembles its Result and flushes its metrics.
+func (e *Engine) syncFlood(fres bitkernel.FloodResult, token int64, metrics runMetrics, diffOps int) *Result {
+	n := len(e.Machines)
+	res := &Result{
+		Rounds:   fres.Rounds,
+		Done:     fres.Done,
+		Messages: fres.Messages,
+		Bits:     fres.Bits,
+		Outputs:  make([]int64, n),
+		Decided:  make([]bool, n),
+	}
+	for v, m := range e.Machines {
+		m.(BitFlooder).SyncFlood(fres.Informed.Test(v), token, fres.Rounds)
+		res.Outputs[v], res.Decided[v] = m.Output()
+	}
+	metrics.flush(res)
+	e.Metrics.Counter("engine_floodfast_diff_ops_total").Add(int64(diffOps))
+	return res
+}
+
 // floodTopo adapts the engine's Adversary to bitkernel.Topologies: it
 // rebuilds the per-round action commitments from the informed set (every
-// informed node sends), validates and connectivity-checks topologies like
-// Run does, and — when the adversary is a DeltaAdversary — maintains one
+// informed node sends), validates topologies with the round kernel's
+// topoCheck, and — when the adversary is a DeltaAdversary — maintains one
 // mutable CSR snapshot that each round's edge-diff script mutates in
 // place instead of materializing a fresh graph.
 //
@@ -264,34 +262,26 @@ func (e *Engine) TryFloodFast(maxRounds int, stop FloodStop) (*Result, bool, err
 type floodTopo struct {
 	adv      Adversary
 	delta    DeltaAdversary // non-nil when adv implements it
-	n        int
 	actions  []Action
 	prev     bitkernel.Bits // informed snapshot behind actions
 	count    int            // informed nodes, popcount of prev
 	snap     *graph.Graph   // delta path's mutable round topology
 	diff     EdgeDiff
 	diffOps  int
-	lastDiff int  // diff ops applied by the most recent round (obs sample)
-	check    bool // connectivity checking, from Engine.CheckConnectivity
-	dist     []int32
-	queue    []int32
+	lastDiff int // diff ops applied by the most recent round (obs sample)
+	topo     topoCheck
 }
 
 func newFloodTopo(e *Engine, n int) *floodTopo {
 	t := &floodTopo{
 		adv:     e.Adv,
-		n:       n,
 		actions: make([]Action, n),
 		prev:    bitkernel.New(n),
-		check:   e.CheckConnectivity,
+		topo:    newTopoCheck(n, e.CheckConnectivity),
 	}
 	if da, ok := e.Adv.(DeltaAdversary); ok {
 		t.delta = da
 		t.snap = graph.New(n)
-	}
-	if t.check {
-		t.dist = make([]int32, n)
-		t.queue = make([]int32, n)
 	}
 	return t
 }
@@ -318,24 +308,21 @@ func (t *floodTopo) Round(r int, informed bitkernel.Bits) (*graph.Graph, error) 
 		t.delta.Diff(r, t.actions, &t.diff) //lint:allow hotpathalloc adversaries own their per-round script allocation budget
 		t.lastDiff = t.diff.Len()
 		t.diffOps += t.lastDiff
-		if t.check || t.count < t.n {
+		if t.topo.connectivity() || t.count < t.topo.n {
 			t.diff.Apply(t.snap)
 		}
 		g = t.snap
 	} else {
 		t.lastDiff = 0
 		g = t.adv.Topology(r, t.actions) //lint:allow hotpathalloc adversaries own their per-round topology allocation budget
-		if t.delta != nil && g != nil && g.N() == t.n {
+		if t.delta != nil && g != nil && g.N() == t.topo.n {
 			// Base round: seed the mutable snapshot the later diffs edit.
 			t.snap.CopyFrom(g)
 			g = t.snap
 		}
 	}
-	if g == nil || g.N() != t.n {
-		return nil, fmt.Errorf("dynet: adversary returned topology over %v nodes, want %d", gN(g), t.n) //lint:allow hotpathalloc error path terminates the run
-	}
-	if t.check && !g.ConnectedInto(t.dist, t.queue) {
-		return nil, fmt.Errorf("dynet: adversary returned disconnected topology in round %d", r) //lint:allow hotpathalloc error path terminates the run
+	if err := t.topo.check(r, g); err != nil {
+		return nil, err
 	}
 	return g, nil
 }

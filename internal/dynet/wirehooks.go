@@ -1,114 +1,6 @@
 package dynet
 
-import (
-	"fmt"
-
-	"dyndiam/internal/faults"
-	"dyndiam/internal/graph"
-	"dyndiam/internal/obs"
-)
-
-// Wire hooks: the exported slice of the engine's round machinery that the
-// distributed coordinator (internal/wire) reuses verbatim. The golden
-// distributed-equivalence guarantee — same seeds, adversary, and fault
-// spec produce byte-identical traces, outputs, totals, and error texts in
-// the distributed run and in Engine.Run — only holds if both executions
-// share one implementation of the error formatting, inbox assembly, fault
-// application, and trace recording. These wrappers are that shared
-// implementation; the engine's unexported helpers remain the single
-// source of truth.
-
-// BudgetError is the CONGEST-violation error Engine.Run returns when a
-// sender exceeds the per-message bit budget. The distributed coordinator
-// enforces the budget on ACT frames at the socket and must fail with the
-// identical text.
-func BudgetError(node, round, nbits, budget int) error {
-	return budgetError(node, round, nbits, budget)
-}
-
-// TopologySizeError is the error Engine.Run returns when the adversary
-// hands back a nil topology or one over the wrong node count.
-func TopologySizeError(g *graph.Graph, n int) error {
-	return fmt.Errorf("dynet: adversary returned topology over %v nodes, want %d", gN(g), n)
-}
-
-// DisconnectedTopologyError is the error Engine.Run returns when
-// CheckConnectivity finds the adversary's round-r topology disconnected.
-func DisconnectedTopologyError(r int) error {
-	return fmt.Errorf("dynet: adversary returned disconnected topology in round %d", r)
-}
-
-// Record appends round r to the trace exactly as Engine.Run does:
-// per-round sender/bit/edge stats from the committed actions and outgoing
-// messages, plus a topology snapshot when KeepTopologies is set.
-func (t *Trace) Record(r int, g *graph.Graph, actions []Action, outgoing []Message) {
-	t.record(r, g, actions, outgoing)
-}
-
-// CollectInboxes assembles each receiving node's inbox from its sending
-// neighbors in the engine's order (ascending sender id), reusing the
-// inbox backing arrays. It is the engine's clean-path collect.
-func CollectInboxes(g *graph.Graph, actions []Action, outgoing []Message, inboxes [][]Message) {
-	collect(g, actions, outgoing, inboxes)
-}
-
-// SortMessagesByFrom orders an inbox by sender id with the engine's
+// SortMessagesByFrom orders an inbox by sender id with the kernel's
 // stable insertion sort, so independently assembled inboxes (e.g. from
-// relay frames arriving over TCP) land in the engine's delivery order.
+// relay frames arriving over TCP) land in the kernel's delivery order.
 func SortMessagesByFrom(msgs []Message) { sortByFrom(msgs) }
-
-// FaultRunner exposes the engine's fault-application machinery — crash
-// schedule advancement, topology perturbation, and faulty inbox assembly,
-// with their obs events and fault counters — to the distributed
-// coordinator. Both executions drive the same faultState code, so fault
-// event order, counter totals, and post-fault inbox contents cannot
-// drift between them.
-type FaultRunner struct {
-	fs *faultState
-}
-
-// NewFaultRunner builds the fault machinery for one execution over n
-// nodes, or returns nil when the plan injects nothing (the clean path).
-func NewFaultRunner(plan *faults.Plan, sink obs.Sink, metrics *obs.Registry, n int) *FaultRunner {
-	if !plan.Enabled() {
-		return nil
-	}
-	return &FaultRunner{fs: newFaultState(plan, sink, metrics, n)}
-}
-
-// BeginRound advances the crash schedule to round r, emitting crash and
-// rejoin transitions, and returns the down mask (nil when the plan has no
-// node faults). The mask is valid until the next BeginRound.
-func (f *FaultRunner) BeginRound(r int) []bool {
-	f.fs.beginRound(r)
-	return f.fs.down
-}
-
-// HasEdgeFaults reports whether Perturb can ever cut an edge.
-func (f *FaultRunner) HasEdgeFaults() bool { return f.fs.edgeFaults }
-
-// HasDeliveryOrNodeFaults reports whether Collect differs from the clean
-// CollectInboxes (delivery faults or down receivers).
-func (f *FaultRunner) HasDeliveryOrNodeFaults() bool {
-	return f.fs.deliveryFaults || f.fs.nodeFaults
-}
-
-// Perturb applies round r's edge cuts to a scratch copy of g and returns
-// it, exactly as the engine does between the connectivity check and
-// delivery.
-func (f *FaultRunner) Perturb(r int, g *graph.Graph) *graph.Graph {
-	return f.fs.perturb(r, g)
-}
-
-// Collect is the faulty inbox assembly: drops, duplications, and bit
-// corruptions applied per delivery, down receivers skipped, in the
-// engine's order.
-func (f *FaultRunner) Collect(r int, g *graph.Graph, actions []Action, outgoing []Message, inboxes [][]Message) {
-	f.fs.collect(r, g, actions, outgoing, inboxes)
-}
-
-// CorruptMessage returns msg with the given payload bit flipped in a
-// private copy, using the engine's exact bit-addressing (so a corruption
-// applied to a relay frame on the wire and one applied by the engine
-// produce identical payloads).
-func CorruptMessage(msg Message, bit int) Message { return corruptCopy(msg, bit) }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"dyndiam/internal/dynet"
 	"dyndiam/internal/obs"
 	"dyndiam/internal/rng"
 )
@@ -88,7 +89,7 @@ func (s Sweep) finish(regs []*obs.Registry) {
 		}
 		s.Metrics.Merge(r)
 		if s.Spans != nil {
-			rounds := r.Counter("engine_rounds_total").Value()
+			rounds := r.Counter(dynet.MetricRounds).Value()
 			s.Spans.Emit(obs.Event{Kind: obs.KindSpanBegin, Round: int32(i), Node: int32(i), Track: 1, A: rounds, Name: keySweepCell})
 			s.Spans.Emit(obs.Event{Kind: obs.KindSpanEnd, Round: int32(i + 1), Node: int32(i), Track: 1, A: rounds, Name: keySweepCell})
 		}

@@ -39,7 +39,7 @@ func MeasureDynamicDiameter(adv dynet.Adversary, n, horizon int) (int, error) {
 	for r := 1; r <= horizon; r++ {
 		g := adv.Topology(r, actions)
 		if g == nil || g.N() != n {
-			return 0, fmt.Errorf("harness: adversary returned topology over wrong node count in round %d", r)
+			return 0, fmt.Errorf("harness: round %d topology does not span the %d measured nodes", r, n)
 		}
 		tr.Advance(g)
 	}

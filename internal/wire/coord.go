@@ -44,9 +44,11 @@ type Config struct {
 }
 
 // Run drives one distributed execution to completion and returns the
-// engine-equivalent Result. It mirrors dynet.Engine.Run phase for phase;
-// on model violations (budget, topology size, connectivity) it aborts
-// the cluster and returns the byte-identical engine error.
+// engine-equivalent Result. The rounds are dynet's round kernel
+// (Engine.RunNodes) over STEP/ACT and RELAY/DELIVER/STATUS frames, the
+// kernel Engine.Run also runs; on a model violation (budget, topology
+// size, connectivity) Run aborts the cluster and returns the kernel's
+// error.
 func Run(cfg Config) (*dynet.Result, error) {
 	if err := cfg.Spec.Validate(); err != nil {
 		return nil, err
@@ -76,9 +78,16 @@ func Run(cfg Config) (*dynet.Result, error) {
 			ln = fl
 		}
 	}
-	co := newCoordinator(cfg, adv, ln, plan)
+	co := newCoordinator(cfg, ln)
 	defer co.close()
-	return co.run()
+	return co.run(&dynet.Engine{
+		Adv:               adv,
+		CheckConnectivity: cfg.Spec.CheckConnectivity,
+		Trace:             cfg.Trace,
+		Obs:               cfg.Obs,
+		Metrics:           cfg.Metrics,
+		Plan:              plan,
+	})
 }
 
 const (
@@ -110,13 +119,10 @@ type link struct {
 }
 
 type coordinator struct {
-	cfg       Config
-	spec      RunSpec
-	n, budget int
-	termNode  int
-	adv       dynet.Adversary
-	ln        net.Listener
-	observing bool
+	cfg      Config
+	n        int
+	termNode int
+	ln       net.Listener
 
 	frames chan inFrame
 	conns  chan joined
@@ -125,26 +131,20 @@ type coordinator struct {
 	links     []link
 	joinReady []bool
 
-	fr  *dynet.FaultRunner
 	jit *rng.Source
 
-	actions     []dynet.Action
-	outgoing    []dynet.Message
-	inboxes     [][]dynet.Message
-	dist, queue []int32
-
 	// outputs and statusDec track each node's last reported (output,
-	// decided); decided tracks Decide-event emission, mirroring the
-	// engine's observing bookkeeping.
+	// decided).
 	outputs   []int64
 	statusDec []bool
-	decided   []bool
 
+	// rd is the kernel's round in progress, from the first Step on: the
+	// ACT handler commits into it and Down is the round's crash mask.
+	rd       *dynet.Round
 	phase    int
 	round    int
 	curActs  []bool
 	curStats []bool
-	curDown  []bool
 	curInbox [][]dynet.Message
 	statsGot []bool
 
@@ -153,25 +153,29 @@ type coordinator struct {
 	logDown  [][]bool
 	logInbox [][][]dynet.Message
 
-	maxRetries              int
-	roundTimeout, retryBase time.Duration
-
+	// Transport handles, all resolved here: the registry is not safe for
+	// concurrent use, and the accept path runs on other goroutines.
 	cRetries, cDeadlineHits, cReconnects, cCRC *obs.Counter
-	sendersHist, bitsHist                      *obs.Histogram
+	cNodeRedials, cNodeCRC, cNodeReplayed      *obs.Counter
 }
 
-func newCoordinator(cfg Config, adv dynet.Adversary, ln net.Listener, plan *faults.Plan) *coordinator {
+func newCoordinator(cfg Config, ln net.Listener) *coordinator {
+	if cfg.MaxRetries == 0 {
+		cfg.MaxRetries = 8
+	}
+	if cfg.RoundTimeout == 0 {
+		cfg.RoundTimeout = 2 * time.Second
+	}
+	if cfg.RetryBase == 0 {
+		cfg.RetryBase = 25 * time.Millisecond
+	}
 	n := cfg.Spec.N
 	termNode, _ := cfg.Spec.TermNode()
 	co := &coordinator{
-		cfg:       cfg,
-		spec:      cfg.Spec,
-		n:         n,
-		budget:    dynet.Budget(n),
-		termNode:  termNode,
-		adv:       adv,
-		ln:        ln,
-		observing: cfg.Obs != nil,
+		cfg:      cfg,
+		n:        n,
+		termNode: termNode,
+		ln:       ln,
 
 		frames: make(chan inFrame, 8*n+16),
 		conns:  make(chan joined, 2*n+4),
@@ -180,46 +184,23 @@ func newCoordinator(cfg Config, adv dynet.Adversary, ln net.Listener, plan *faul
 		links:     make([]link, n),
 		joinReady: make([]bool, n),
 
-		fr:  dynet.NewFaultRunner(plan, cfg.Obs, cfg.Metrics, n),
 		jit: rng.New(cfg.Spec.Seed).Split('w', 'i', 'r', 'e'),
-
-		actions:  make([]dynet.Action, n),
-		outgoing: make([]dynet.Message, n),
-		inboxes:  make([][]dynet.Message, n),
 
 		outputs:   make([]int64, n),
 		statusDec: make([]bool, n),
-		decided:   make([]bool, n),
 
 		curActs:  make([]bool, n),
 		curStats: make([]bool, n),
 		curInbox: make([][]dynet.Message, n),
 		statsGot: make([]bool, n),
 
-		maxRetries:   cfg.MaxRetries,
-		roundTimeout: cfg.RoundTimeout,
-		retryBase:    cfg.RetryBase,
-
 		cRetries:      cfg.Transport.Counter("wire_retries_total"),
 		cDeadlineHits: cfg.Transport.Counter("wire_deadline_hits_total"),
 		cReconnects:   cfg.Transport.Counter("wire_reconnects_total"),
 		cCRC:          cfg.Transport.Counter("wire_coord_crc_rejects_total"),
-
-		sendersHist: cfg.Metrics.Histogram("engine_round_senders", dynet.RoundHistBounds),
-		bitsHist:    cfg.Metrics.Histogram("engine_round_bits", dynet.RoundHistBounds),
-	}
-	if co.maxRetries == 0 {
-		co.maxRetries = 8
-	}
-	if co.roundTimeout == 0 {
-		co.roundTimeout = 2 * time.Second
-	}
-	if co.retryBase == 0 {
-		co.retryBase = 25 * time.Millisecond
-	}
-	if cfg.Spec.CheckConnectivity {
-		co.dist = make([]int32, n)
-		co.queue = make([]int32, n)
+		cNodeRedials:  cfg.Transport.Counter("wire_node_redials_total"),
+		cNodeCRC:      cfg.Transport.Counter("wire_crc_rejects_total"),
+		cNodeReplayed: cfg.Transport.Counter("wire_replayed_rounds_total"),
 	}
 	return co
 }
@@ -234,182 +215,98 @@ func (co *coordinator) close() {
 	}
 }
 
-// run is the engine twin: same phases, same event order, same errors.
-func (co *coordinator) run() (*dynet.Result, error) {
+// run joins the cluster, runs the kernel over it and collects the
+// nodes' transport stats.
+func (co *coordinator) run(e *dynet.Engine) (*dynet.Result, error) {
 	go co.acceptLoop()
-	if err := co.waitAllJoined(); err != nil {
+	if err := co.await(0, co.joinReady, "node handshakes"); err != nil {
 		return nil, co.fail(err)
 	}
-	for v := 0; v < co.n; v++ {
-		co.decided[v] = co.statusDec[v]
-	}
-
-	maxRounds := co.spec.MaxRounds
-	res := &dynet.Result{Rounds: maxRounds}
-	for r := 1; r <= maxRounds; r++ {
-		co.round = r
-		if co.observing {
-			co.cfg.Obs.Emit(obs.Event{Kind: obs.KindRoundStart, Round: int32(r)})
-		}
-		co.curDown = nil
-		if co.fr != nil {
-			co.curDown = co.fr.BeginRound(r)
-		}
-
-		// Phase 1: STEP fan-out and ACT fan-in. Down nodes are frozen by
-		// the socket wrapper (their Step frames are swallowed, the crash
-		// transition hard-closes the connection); the coordinator commits
-		// a silent Receive for them, as the engine's step does.
-		co.phase = phaseActs
-		for v := 0; v < co.n; v++ {
-			co.curActs[v] = false
-			co.curStats[v] = false
-			if co.downNow(v) {
-				co.actions[v], co.outgoing[v] = dynet.Receive, dynet.Message{}
-				co.curActs[v] = true
-				co.curStats[v] = true
-			}
-		}
-		step := Frame{Type: FrameStep, Round: int32(r)}
-		for v := 0; v < co.n; v++ {
-			if co.links[v].connected {
-				co.writeTo(v, &step)
-			}
-		}
-		if err := co.await(r, co.allActs, co.pokeActs, "send/receive commitments"); err != nil {
-			return nil, co.fail(err)
-		}
-
-		// Budget scan, ascending: CONGEST enforced on the NBits that came
-		// off the socket, with the engine's exact error.
-		roundSenders, roundBits := 0, 0
-		for v := 0; v < co.n; v++ {
-			if co.actions[v] == dynet.Send {
-				if co.outgoing[v].NBits > co.budget {
-					return nil, co.fail(dynet.BudgetError(v, r, co.outgoing[v].NBits, co.budget))
-				}
-				roundSenders++
-				roundBits += co.outgoing[v].NBits
-				if co.observing {
-					co.cfg.Obs.Emit(obs.Event{Kind: obs.KindSend, Round: int32(r), Node: int32(v), A: int64(co.outgoing[v].NBits)})
-				}
-			}
-		}
-		res.Messages += roundSenders
-		res.Bits += roundBits
-		co.sendersHist.Observe(int64(roundSenders))
-		co.bitsHist.Observe(int64(roundBits))
-
-		// Phase 2: the adversary fixes the topology knowing the actions.
-		g := co.adv.Topology(r, co.actions)
-		if g == nil || g.N() != co.n {
-			return nil, co.fail(dynet.TopologySizeError(g, co.n))
-		}
-		if co.spec.CheckConnectivity && !g.ConnectedInto(co.dist, co.queue) {
-			return nil, co.fail(dynet.DisconnectedTopologyError(r))
-		}
-		if co.fr != nil && co.fr.HasEdgeFaults() {
-			g = co.fr.Perturb(r, g)
-		}
-
-		// Phase 3: inbox accounting. The coordinator assembles the same
-		// post-fault inboxes the engine would (fault events and counters
-		// included) — for the replay log and redelivery — while the live
-		// relays below carry the originals and take their faults on the
-		// wire. Plan purity keeps the two in exact agreement.
-		if co.fr != nil && co.fr.HasDeliveryOrNodeFaults() {
-			co.fr.Collect(r, g, co.actions, co.outgoing, co.inboxes)
-		} else {
-			dynet.CollectInboxes(g, co.actions, co.outgoing, co.inboxes)
-		}
-		co.snapshotInboxes()
-
-		// RELAY + DELIVER fan-out, receivers ascending, senders ascending
-		// within each receiver — the engine's collect order.
-		co.phase = phaseStatus
-		for v := 0; v < co.n; v++ {
-			if co.downNow(v) || !co.links[v].connected {
-				continue
-			}
-			if co.actions[v] == dynet.Receive {
-				for _, u := range g.Adj(v) {
-					if co.actions[u] != dynet.Send {
-						continue
-					}
-					relay := Frame{
-						Type: FrameRelay, Round: int32(r),
-						From: u, To: int32(v),
-						NBits:   int32(co.outgoing[u].NBits),
-						Payload: co.outgoing[u].Payload,
-					}
-					if !co.writeTo(v, &relay) {
-						break
-					}
-				}
-			}
-			co.writeTo(v, &Frame{Type: FrameDeliver, Round: int32(r)})
-		}
-		if err := co.await(r, co.allStats, co.pokeStatus, "round statuses"); err != nil {
-			return nil, co.fail(err)
-		}
-
-		if co.cfg.Trace != nil {
-			co.cfg.Trace.Record(r, g, co.actions, co.outgoing)
-		}
-		for v := 0; v < co.n; v++ {
-			if co.statusDec[v] && !co.decided[v] {
-				co.decided[v] = true
-				if co.observing {
-					co.cfg.Obs.Emit(obs.Event{Kind: obs.KindDecide, Round: int32(r), Node: int32(v), A: co.outputs[v]})
-				}
-			}
-		}
-		if co.observing {
-			co.cfg.Obs.Emit(obs.Event{Kind: obs.KindRoundEnd, Round: int32(r), A: int64(roundSenders), B: int64(roundBits)})
-		}
-
-		co.finalizeRound()
-		co.phase = phaseIdle
-		if co.terminated() {
-			res.Rounds = r
-			res.Done = true
-			break
-		}
-	}
-
-	res.Outputs = append([]int64(nil), co.outputs...)
-	res.Decided = append([]bool(nil), co.statusDec...)
-	if !res.Done && maxRounds < 1 {
-		res.Done = co.terminated()
-	}
-	if co.cfg.Metrics != nil {
-		co.cfg.Metrics.Counter("engine_rounds_total").Add(int64(res.Rounds))
-		co.cfg.Metrics.Counter("engine_messages_total").Add(int64(res.Messages))
-		co.cfg.Metrics.Counter("engine_bits_total").Add(int64(res.Bits))
+	res, err := e.RunNodes(co, co.n, co.cfg.Spec.MaxRounds)
+	if err != nil {
+		return nil, co.fail(err)
 	}
 	co.finish()
 	return res, nil
 }
 
-func (co *coordinator) downNow(v int) bool { return co.curDown != nil && co.curDown[v] }
+// Step implements dynet.Nodes: STEP fan-out and ACT fan-in. Down nodes
+// are frozen by the socket wrapper (their STEP frames are swallowed, the
+// crash transition hard-closes the connection), so the barrier does not
+// wait for them; the kernel commits them to a silent Receive.
+func (co *coordinator) Step(rd *dynet.Round) error {
+	co.rd, co.round, co.phase = rd, rd.R, phaseActs
+	for v := 0; v < co.n; v++ {
+		down := co.downNow(v)
+		co.curActs[v], co.curStats[v] = down, down
+	}
+	step := Frame{Type: FrameStep, Round: int32(rd.R)}
+	for v := 0; v < co.n; v++ {
+		co.writeTo(v, &step)
+	}
+	return co.await(rd.R, co.curActs, "send/receive commitments")
+}
 
-func (co *coordinator) terminated() bool {
+// Deliver implements dynet.Nodes: RELAY+DELIVER fan-out, receivers
+// ascending and senders ascending within each receiver (the kernel's
+// collect order), then STATUS fan-in. The live relays carry the original
+// messages and take their faults on the wire; the kernel's post-fault
+// inboxes, which plan purity keeps in exact agreement with them, are
+// kept for the replay log and redelivery.
+func (co *coordinator) Deliver(rd *dynet.Round) error {
+	co.snapshotInboxes(rd.Inboxes)
+	co.phase = phaseStatus
+	for v := 0; v < co.n; v++ {
+		if co.downNow(v) || !co.links[v].connected {
+			continue
+		}
+		if rd.Actions[v] == dynet.Receive {
+			for _, u := range rd.G.Adj(v) {
+				if rd.Actions[u] != dynet.Send {
+					continue
+				}
+				relay := Frame{
+					Type: FrameRelay, Round: int32(rd.R),
+					From: u, To: int32(v),
+					NBits:   int32(rd.Outgoing[u].NBits),
+					Payload: rd.Outgoing[u].Payload,
+				}
+				if !co.writeTo(v, &relay) {
+					break
+				}
+			}
+		}
+		co.writeTo(v, &Frame{Type: FrameDeliver, Round: int32(rd.R)})
+	}
+	if err := co.await(rd.R, co.curStats, "round statuses"); err != nil {
+		return err
+	}
+	co.finalizeRound()
+	co.phase = phaseIdle
+	return nil
+}
+
+// Output implements dynet.Nodes from node v's last status.
+func (co *coordinator) Output(v int) (int64, bool) { return co.outputs[v], co.statusDec[v] }
+
+// Done implements dynet.Nodes: the spec's termination node has decided,
+// or every node has when the spec names none.
+func (co *coordinator) Done() bool {
 	if co.termNode >= 0 {
 		return co.statusDec[co.termNode]
 	}
-	for _, d := range co.statusDec {
-		if !d {
-			return false
-		}
-	}
-	return true
+	return all(co.statusDec)
+}
+
+func (co *coordinator) downNow(v int) bool {
+	return co.rd != nil && co.rd.Down != nil && co.rd.Down[v]
 }
 
 // finalizeRound snapshots the round into the replay log.
 func (co *coordinator) finalizeRound() {
 	var down []bool
-	if co.curDown != nil {
-		down = append([]bool(nil), co.curDown...)
+	if co.rd.Down != nil {
+		down = append([]bool(nil), co.rd.Down...)
 	}
 	co.logDown = append(co.logDown, down)
 	inboxes := make([][]dynet.Message, co.n)
@@ -417,12 +314,12 @@ func (co *coordinator) finalizeRound() {
 	co.logInbox = append(co.logInbox, inboxes)
 }
 
-// snapshotInboxes deep-copies the post-fault inboxes: the engine reuses
+// snapshotInboxes deep-copies the post-fault inboxes: the kernel reuses
 // its inbox arenas every round, but the replay log and mid-round
 // redelivery need round-r's contents to survive round r+1.
-func (co *coordinator) snapshotInboxes() {
+func (co *coordinator) snapshotInboxes(inboxes [][]dynet.Message) {
 	for v := 0; v < co.n; v++ {
-		src := co.inboxes[v]
+		src := inboxes[v]
 		if len(src) == 0 {
 			co.curInbox[v] = nil
 			continue
@@ -435,61 +332,20 @@ func (co *coordinator) snapshotInboxes() {
 	}
 }
 
-func (co *coordinator) allActs() bool {
-	for v := 0; v < co.n; v++ {
-		if !co.curActs[v] {
+func all(flags []bool) bool {
+	for _, f := range flags {
+		if !f {
 			return false
 		}
 	}
 	return true
 }
 
-func (co *coordinator) allStats() bool {
-	for v := 0; v < co.n; v++ {
-		if !co.curStats[v] {
-			return false
-		}
-	}
-	return true
-}
-
-func (co *coordinator) allJoined() bool {
-	for v := 0; v < co.n; v++ {
-		if !co.joinReady[v] {
-			return false
-		}
-	}
-	return true
-}
-
-func (co *coordinator) allStatsFrames() bool {
-	for v := 0; v < co.n; v++ {
-		if co.links[v].connected && !co.statsGot[v] {
-			return false
-		}
-	}
-	return true
-}
-
-// pokeActs re-sends STEP to every up node still missing a commitment.
-func (co *coordinator) pokeActs() {
-	step := Frame{Type: FrameStep, Round: int32(co.round)}
-	for v := 0; v < co.n; v++ {
-		if !co.curActs[v] && co.links[v].connected {
-			co.writeTo(v, &step)
-		}
-	}
-}
-
-// pokeStatus redoes the round tail — STEP, the recorded post-fault inbox
-// under FlagNoFault, DELIVER — for every up node still missing a status.
-// The node side is idempotent, so a poke can never double-step or
-// double-deliver.
-func (co *coordinator) pokeStatus() {
-	for v := 0; v < co.n; v++ {
-		if !co.curStats[v] && co.links[v].connected {
-			co.redoRoundTail(v)
-		}
+// poke resyncs every node still owing the current barrier; the node side
+// is idempotent, so a poke can never double-step or double-deliver.
+func (co *coordinator) poke() {
+	for v := range co.links {
+		co.resyncNode(v)
 	}
 }
 
@@ -512,33 +368,29 @@ func (co *coordinator) redoRoundTail(v int) {
 	co.writeTo(v, &Frame{Type: FrameDeliver, Round: int32(co.round), Flags: FlagNoFault})
 }
 
-// waitAllJoined blocks until every node has completed its handshake.
-func (co *coordinator) waitAllJoined() error {
-	return co.await(0, co.allJoined, func() {}, "node handshakes")
-}
-
-// await pumps events until cond holds, with per-attempt deadlines,
-// bounded retries, exponential backoff, and deterministic jitter.
-func (co *coordinator) await(r int, cond func() bool, poke func(), what string) error {
+// await pumps events until every flag is set, with per-attempt
+// deadlines, bounded retries (each poking the stragglers), exponential
+// backoff, and deterministic jitter.
+func (co *coordinator) await(r int, flags []bool, what string) error {
 	for attempt := 0; ; attempt++ {
-		if !co.pumpUntil(cond, co.attemptTimeout(r, attempt)) {
+		if !co.pumpUntil(flags, co.attemptTimeout(r, attempt)) {
 			return nil
 		}
 		co.cDeadlineHits.Add(1)
-		if attempt >= co.maxRetries {
+		if attempt >= co.cfg.MaxRetries {
 			return fmt.Errorf("wire: run stalled in round %d waiting for %s (%d attempts)", r, what, attempt+1)
 		}
 		co.cRetries.Add(1)
-		poke()
+		co.poke()
 	}
 }
 
-// pumpUntil processes frames and joins until cond holds (returns false)
-// or the deadline passes (returns true).
-func (co *coordinator) pumpUntil(cond func() bool, d time.Duration) (timedOut bool) {
+// pumpUntil processes frames and joins until every flag is set (returns
+// false) or the deadline passes (returns true).
+func (co *coordinator) pumpUntil(flags []bool, d time.Duration) (timedOut bool) {
 	timer := time.NewTimer(d)
 	defer timer.Stop()
-	for !cond() {
+	for !all(flags) {
 		select {
 		case ev := <-co.frames:
 			co.handleFrame(ev)
@@ -558,9 +410,9 @@ func (co *coordinator) attemptTimeout(r, attempt int) time.Duration {
 	if shift > 10 {
 		shift = 10
 	}
-	backoff := co.retryBase << uint(shift)
-	jitter := time.Duration(co.jit.Split('t', uint64(r), uint64(attempt)).Uint64() % uint64(co.retryBase))
-	return co.roundTimeout + backoff + jitter
+	backoff := co.cfg.RetryBase << uint(shift)
+	jitter := time.Duration(co.jit.Split('t', uint64(r), uint64(attempt)).Uint64() % uint64(co.cfg.RetryBase))
+	return co.cfg.RoundTimeout + backoff + jitter
 }
 
 // handleJoin adopts a freshly handshaken connection: welcome, replay the
@@ -586,7 +438,7 @@ func (co *coordinator) handleJoin(j joined) {
 		fc.Bind(j.id)
 	}
 
-	specJSON, err := EncodeRunSpec(co.spec)
+	specJSON, err := EncodeRunSpec(co.cfg.Spec)
 	if err != nil {
 		co.markDead(j.id)
 		return
@@ -642,16 +494,14 @@ func (co *coordinator) handleFrame(ev inFrame) {
 		co.statusDec[v] = f.Flags&FlagDecided != 0
 		co.resyncNode(v)
 	case FrameAct:
-		if int(f.Round) != co.round || co.phase == phaseIdle || co.curActs[v] {
+		if int(f.Round) != co.round || co.phase != phaseActs || co.curActs[v] {
 			return
 		}
 		co.curActs[v] = true
 		if f.Flags&FlagSend != 0 {
-			co.actions[v] = dynet.Send
-			co.outgoing[v] = dynet.Message{From: v, Payload: f.Payload, NBits: int(f.NBits)}
+			co.rd.Actions[v], co.rd.Outgoing[v] = dynet.Send, dynet.Message{Payload: f.Payload, NBits: int(f.NBits)}
 		} else {
-			co.actions[v] = dynet.Receive
-			co.outgoing[v] = dynet.Message{From: v}
+			co.rd.Actions[v], co.rd.Outgoing[v] = dynet.Receive, dynet.Message{}
 		}
 	case FrameStatus:
 		if int(f.Round) != co.round || co.phase != phaseStatus || co.curStats[v] {
@@ -668,25 +518,25 @@ func (co *coordinator) handleFrame(ev inFrame) {
 	}
 }
 
-// resyncNode brings a rejoined node into the current phase: during the
-// commitment barrier a fresh STEP suffices; during the status barrier
-// the whole round tail is redone from the recorded inbox.
+// resyncNode brings a rejoined or straggling node into the current
+// phase: during the commitment barrier a fresh STEP suffices; during the
+// status barrier the whole round tail is redone from the recorded inbox;
+// once the run is over, FINISH collects its stats even if it is down in
+// the last round.
 func (co *coordinator) resyncNode(v int) {
-	if co.downNow(v) {
-		return
-	}
-	switch co.phase {
-	case phaseActs:
+	switch {
+	case co.phase == phaseStats:
+		if !co.statsGot[v] {
+			co.writeTo(v, &Frame{Type: FrameFinish})
+		}
+	case co.downNow(v):
+	case co.phase == phaseActs:
 		if !co.curActs[v] {
 			co.writeTo(v, &Frame{Type: FrameStep, Round: int32(co.round)})
 		}
-	case phaseStatus:
+	case co.phase == phaseStatus:
 		if !co.curStats[v] {
 			co.redoRoundTail(v)
-		}
-	case phaseStats:
-		if !co.statsGot[v] {
-			co.writeTo(v, &Frame{Type: FrameFinish})
 		}
 	}
 }
@@ -699,7 +549,7 @@ func (co *coordinator) writeTo(v int, f *Frame) bool {
 	if !l.connected {
 		return false
 	}
-	l.conn.SetWriteDeadline(time.Now().Add(co.roundTimeout)) //lint:allow wiredeterminism deadline arming is the sanctioned wall-clock use
+	l.conn.SetWriteDeadline(time.Now().Add(co.cfg.RoundTimeout)) //lint:allow wiredeterminism deadline arming is the sanctioned wall-clock use
 	if err := WriteFrame(l.conn, f); err != nil {
 		co.markDead(v)
 		return false
@@ -715,8 +565,7 @@ func (co *coordinator) markDead(v int) {
 	}
 }
 
-// fail aborts the cluster with the model error and returns it — the
-// distributed twin of the engine's error return.
+// fail aborts the cluster with the run's error and returns it.
 func (co *coordinator) fail(err error) error {
 	abort := Frame{Type: FrameAbort, Payload: []byte(err.Error())}
 	for v := 0; v < co.n; v++ {
@@ -727,26 +576,17 @@ func (co *coordinator) fail(err error) error {
 	return err
 }
 
-// finish ends the run: FINISH fan-out, best-effort STATS fan-in (folded
-// into the transport registry), tolerant of nodes that already left.
+// finish ends the run: FINISH fan-out, then STATS fan-in from every node
+// (folded into the transport registry). A node that crashed in the last
+// rounds may still be redialing; its READY gets a FINISH (resyncNode),
+// so the listener stays open until its stats arrive or the retry budget
+// runs out.
 func (co *coordinator) finish() {
 	co.phase = phaseStats
-	fin := Frame{Type: FrameFinish}
-	for v := 0; v < co.n; v++ {
-		if co.links[v].connected {
-			co.writeTo(v, &fin)
-		}
-	}
+	co.poke()
 	// Stats are observability, not model state: exhaust the retry budget,
 	// then proceed without error.
-	co.await(co.round, co.allStatsFrames, func() {
-		fin := Frame{Type: FrameFinish}
-		for v := 0; v < co.n; v++ {
-			if co.links[v].connected && !co.statsGot[v] {
-				co.writeTo(v, &fin)
-			}
-		}
-	}, "transport stats")
+	co.await(co.round, co.statsGot, "transport stats")
 	co.phase = phaseIdle
 }
 
@@ -756,10 +596,9 @@ func (co *coordinator) foldNodeStats(payload []byte) {
 	if err != nil {
 		return
 	}
-	tr := co.cfg.Transport
-	tr.Counter("wire_node_redials_total").Add(st.Redials)
-	tr.Counter("wire_crc_rejects_total").Add(st.CRCRejects)
-	tr.Counter("wire_replayed_rounds_total").Add(st.ReplayedRounds)
+	co.cNodeRedials.Add(st.Redials)
+	co.cNodeCRC.Add(st.CRCRejects)
+	co.cNodeReplayed.Add(st.ReplayedRounds)
 }
 
 // acceptLoop accepts connections and handshakes each on its own
@@ -776,7 +615,7 @@ func (co *coordinator) acceptLoop() {
 
 // handshake reads the HELLO that opens every node connection.
 func (co *coordinator) handshake(c net.Conn) {
-	c.SetReadDeadline(time.Now().Add(co.roundTimeout * time.Duration(co.maxRetries+1))) //lint:allow wiredeterminism deadline arming is the sanctioned wall-clock use
+	c.SetReadDeadline(time.Now().Add(co.cfg.RoundTimeout * time.Duration(co.cfg.MaxRetries+1))) //lint:allow wiredeterminism deadline arming is the sanctioned wall-clock use
 	f, err := ReadFrame(c)
 	if err != nil || f.Type != FrameHello {
 		c.Close()

@@ -70,40 +70,41 @@ func TestDistributedEquivalence(t *testing.T) {
 	cases := []struct {
 		name string
 		spec RunSpec
+		mut  func(*Config)
 	}{
 		{"cflood-ring-clean", RunSpec{
 			Proto: "cflood", N: 8, Seed: 1, MaxRounds: 32, Adv: "ring", CheckConnectivity: true,
-		}},
+		}, nil},
 		{"cflood-zero-rounds", RunSpec{
 			Proto: "cflood", N: 4, Seed: 2, MaxRounds: 0, Adv: "line",
-		}},
+		}, nil},
 		{"pflood-random-drop", RunSpec{
 			Proto: "pflood", N: 8, Seed: 3, MaxRounds: 48, Adv: "random",
 			Fault: faults.Spec{Seed: 7, Drop: 0.2},
-		}},
+		}, nil},
 		{"consensus-star-corrupt-dup", RunSpec{
 			Proto: "consensus", N: 6, Seed: 4, MaxRounds: 64, Adv: "star",
 			Fault: faults.Spec{Seed: 9, Corrupt: 0.25, Dup: 0.25},
-		}},
+		}, nil},
 		{"leader-bounded-mixed", RunSpec{
 			Proto: "leader", N: 6, Seed: 5, MaxRounds: 96, Adv: "bounded", AdvD: 3,
 			Fault: faults.Spec{Seed: 11, Drop: 0.05, Corrupt: 0.05, Dup: 0.05},
-		}},
+		}, nil},
 		{"cflood-rotating-outages", RunSpec{
 			Proto: "cflood", N: 8, Seed: 6, MaxRounds: 40, Adv: "rotating",
 			Fault: faults.Spec{Seed: 13, Outages: []faults.Outage{
 				{Node: 3, From: 2, Until: 5},
 				{Node: 6, From: 4, Until: 7},
 			}},
-		}},
+		}, nil},
 		{"pflood-ring-crash-rate", RunSpec{
 			Proto: "pflood", N: 8, Seed: 7, MaxRounds: 48, Adv: "ring",
 			Fault: faults.Spec{Seed: 17, Crash: 0.08, MeanDown: 3},
-		}},
+		}, nil},
 		{"cflood-complete-edgecut", RunSpec{
 			Proto: "cflood", N: 8, Seed: 8, MaxRounds: 40, Adv: "complete", CheckConnectivity: true,
 			Fault: faults.Spec{Seed: 19, EdgeCut: 0.15},
-		}},
+		}, nil},
 		{"consensus-line-everything", RunSpec{
 			Proto: "consensus", N: 6, Seed: 9, MaxRounds: 80, Adv: "line",
 			Extra: map[string]int64{"D": 8},
@@ -111,13 +112,22 @@ func TestDistributedEquivalence(t *testing.T) {
 				Seed: 23, Drop: 0.1, Corrupt: 0.1, Dup: 0.1, EdgeCut: 0.05,
 				Outages: []faults.Outage{{Node: 2, From: 3, Until: 6}},
 			},
+		}, nil},
+		// The crash close lands in the final round, and node 1's redial is
+		// held until the other nodes have reported their stats: the
+		// coordinator must keep its listener open and let it in.
+		{"pflood-ring-final-round-outage", RunSpec{
+			Proto: "pflood", N: 8, Seed: 10, MaxRounds: 12, Adv: "ring",
+			Fault: faults.Spec{Seed: 29, Outages: []faults.Outage{{Node: 1, From: 12, Until: 20}}},
+		}, func(cfg *Config) {
+			cfg.Listener = &slowRejoinListener{Listener: cfg.Listener, after: 8, delay: 200 * time.Millisecond}
 		}},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			dist, transport, nodeErrs := runDistributed(t, tc.spec, nil)
+			dist, transport, nodeErrs := runDistributed(t, tc.spec, tc.mut)
 			proc, err := RunInProcess(tc.spec, testRingCap)
 			if err != nil {
 				t.Fatalf("in-process twin: %v", err)
@@ -145,6 +155,26 @@ func TestDistributedEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// slowRejoinListener holds every connection after the first `after`
+// for delay before handing it over, so a node that redials after a
+// crash rejoins only once the others are done.
+type slowRejoinListener struct {
+	net.Listener
+	after    int
+	delay    time.Duration
+	accepted int
+}
+
+func (l *slowRejoinListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		if l.accepted++; l.accepted > l.after {
+			time.Sleep(l.delay)
+		}
+	}
+	return c, err
 }
 
 // badAdv makes the adversary misbehave at a chosen round, to pin the
@@ -175,7 +205,8 @@ func (a *badAdv) Topology(r int, actions []dynet.Action) *graph.Graph {
 
 // TestDistributedErrorEquivalence pins that model violations abort the
 // cluster with the byte-identical engine error — at the coordinator and
-// at every node process.
+// at every node process — and that the flood fast path (RunFlood on the
+// cflood machines) fails with the same text.
 func TestDistributedErrorEquivalence(t *testing.T) {
 	base := RunSpec{Proto: "cflood", N: 6, Seed: 21, MaxRounds: 24, Adv: "ring", CheckConnectivity: true}
 	for _, mode := range []string{"nil", "small", "disconnected"} {
@@ -220,6 +251,23 @@ func TestDistributedErrorEquivalence(t *testing.T) {
 				if nerr == nil || nerr.Error() != proc.Err.Error() {
 					t.Errorf("node %d error = %v, want %q", v, nerr, proc.Err)
 				}
+			}
+
+			machines, err = base.Machines()
+			if err != nil {
+				t.Fatal(err)
+			}
+			termNode, err := base.TermNode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fastReg := obs.NewRegistry()
+			fast := &dynet.Engine{Machines: machines, Adv: mkAdv(), CheckConnectivity: true, Metrics: fastReg}
+			if _, err := fast.RunFlood(base.MaxRounds, dynet.StopNode(termNode)); err == nil || err.Error() != proc.Err.Error() {
+				t.Errorf("fast path error = %v, want %q", err, proc.Err)
+			}
+			if got := fastReg.Counter("engine_floodfast_runs_total").Value(); got != 1 {
+				t.Errorf("engine_floodfast_runs_total = %d, want 1 (fast path not taken)", got)
 			}
 		})
 	}

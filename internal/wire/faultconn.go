@@ -23,14 +23,17 @@ import (
 //     swallowed for as long as the plan keeps it down.
 //
 // Each connection compiles its own Plan from the shared Spec, so every
-// decision is a pure function of (seed, round, node, edge) — the
-// coordinator's accounting twin (dynet.FaultRunner) reaches the same
-// verdicts without any channel between them, which is what keeps the
-// distributed run byte-equivalent to Engine.Run.
+// decision is a pure function of (seed, round, node, edge) — the round
+// kernel's fault accounting in the coordinator (dynet.Engine.RunNodes)
+// reaches the same verdicts without any channel between them, which is
+// what keeps the distributed run byte-equivalent to Engine.Run.
 type FaultListener struct {
 	net.Listener
-	spec      faults.Spec
-	transport *obs.Registry
+	spec faults.Spec
+
+	// The wire_fault_* handles, resolved once: Accept runs on the accept
+	// goroutine, and the registry is not safe for concurrent use.
+	cDrops, cCorrupts, cDups, cCloses *obs.Counter
 }
 
 // NewFaultListener validates the spec and wraps ln. The transport
@@ -39,7 +42,14 @@ func NewFaultListener(ln net.Listener, spec faults.Spec, transport *obs.Registry
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return &FaultListener{Listener: ln, spec: spec, transport: transport}, nil
+	return &FaultListener{
+		Listener:  ln,
+		spec:      spec,
+		cDrops:    transport.Counter("wire_fault_drops_total"),
+		cCorrupts: transport.Counter("wire_fault_corrupts_total"),
+		cDups:     transport.Counter("wire_fault_dups_total"),
+		cCloses:   transport.Counter("wire_fault_crash_closes_total"),
+	}, nil
 }
 
 // Accept wraps the next connection in a *FaultConn.
@@ -57,10 +67,10 @@ func (l *FaultListener) Accept() (net.Conn, error) {
 		Conn:      c,
 		plan:      plan,
 		node:      -1,
-		cDrops:    l.transport.Counter("wire_fault_drops_total"),
-		cCorrupts: l.transport.Counter("wire_fault_corrupts_total"),
-		cDups:     l.transport.Counter("wire_fault_dups_total"),
-		cCloses:   l.transport.Counter("wire_fault_crash_closes_total"),
+		cDrops:    l.cDrops,
+		cCorrupts: l.cCorrupts,
+		cDups:     l.cDups,
+		cCloses:   l.cCloses,
 	}, nil
 }
 

@@ -57,10 +57,7 @@ func (s *RunSpec) Terminated() (func([]dynet.Machine) bool, error) {
 }
 
 // RunInProcess executes the spec on dynet.Engine — the golden twin of a
-// distributed Run over the identical RunSpec. Workers is pinned to 1 so
-// the engine stays on its deterministic sequential path (parallel
-// stepping is bit-identical anyway; pinning removes even scheduling
-// noise from the comparison).
+// distributed Run over the identical RunSpec.
 func RunInProcess(spec RunSpec, ringCap int) (*RunArtifacts, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err

@@ -6,13 +6,13 @@
 // (seeds, adversary, fault spec), a distributed execution produces
 // byte-identical per-round traces, per-node outputs, message/bit totals,
 // obs event streams, and error texts as dynet.Engine.Run. The guarantee
-// is structural, not aspirational — the coordinator reuses the engine's
-// own exported round machinery (dynet wire hooks: error constructors,
-// inbox assembly, FaultRunner, trace recording), and every wire-level
-// fault decision is a pure function of (seed, round, node, edge) through
-// internal/faults, so the fault-wrapping socket layer and the
-// coordinator's accounting cannot disagree. RunInProcess and Diff turn
-// the contract into a golden differential test.
+// is structural, not aspirational — the coordinator runs the engine's own
+// round kernel (dynet.Engine.RunNodes) and supplies only how the nodes
+// are reached, as frames; and every wire-level fault decision is a pure
+// function of (seed, round, node, edge) through internal/faults, so the
+// fault-wrapping socket layer and the kernel's fault accounting cannot
+// disagree. RunInProcess and Diff turn the contract into a golden
+// differential test.
 //
 // Topology: N node processes (RunNode) dial one coordinator (Run). The
 // coordinator owns the adversary, CONGEST budget enforcement (validated
