@@ -17,11 +17,14 @@ race:
 # Repeated runs of the serving layer, whose parallel tests run real sweeps
 # side by side: a test that leaks state into another fails here. The wire
 # line repeats the distributed runs under the race detector, where a node
-# rejoining late in a run races the coordinator's shutdown.
+# rejoining late in a run races the coordinator's shutdown. The harness
+# line repeats the sweep worker-pool tests under the race detector, since
+# sweeps run their cells on every core by default.
 stress:
 	$(GO) test -count=200 ./internal/serve
 	$(GO) test -race -count=10 ./internal/serve
 	$(GO) test -race -count=20 -run 'TestDistributed' ./internal/wire
+	$(GO) test -race -count=10 -run 'Parallel|Golden|Workers|Degradation' ./internal/harness ./internal/advsearch
 
 lint:
 	$(GO) vet ./...

@@ -86,7 +86,7 @@ func main() {
 	opts := options{
 		n: *n, horizon: *horizon, mode: *mode, restarts: *restarts,
 		steps: *steps, pop: *pop, extraEdges: *extraEdges, seed: *seed,
-		evalBudget: *evalBudget, top: *top, workers: cliutil.Workers(*workers),
+		evalBudget: *evalBudget, top: *top, workers: *workers,
 		checkpoint: *checkpoint, resume: *resume,
 		jsonOut: *jsonOut, tableOut: *tableOut, corpusDir: *corpusDir,
 		replay: *replay, expectConstructed: *expectConstructed,

@@ -212,7 +212,7 @@ func workloads(short bool) []struct {
 		}},
 		{"GapTableParallelSweep", func(b *testing.B) {
 			b.ReportAllocs()
-			sw := dyndiam.Sweep{Workers: runtime.GOMAXPROCS(0)}
+			sw := dyndiam.Sweep{}
 			for i := 0; i < b.N; i++ {
 				if _, err := sw.GapTable(gapSizes, 4, 1); err != nil {
 					b.Fatal(err)

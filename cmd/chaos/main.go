@@ -136,7 +136,7 @@ func main() {
 	}
 	opts := options{
 		n: *n, diam: *diam, trials: *trials, seed: *seed,
-		sweep: dyndiam.Sweep{Workers: cliutil.Workers(*workers), Budget: *budget}, cellBudget: *cellBudget,
+		sweep: dyndiam.Sweep{Workers: *workers, Budget: *budget}, cellBudget: *cellBudget,
 		jsonOut: *jsonOut, checkpoint: *checkpoint, resume: *resume,
 		replay: *replay, replayProto: *replayProto, replayDim: *replayDim,
 		replayRate: *replayRate, obsOut: *obsOut, traceOut: *traceOut,

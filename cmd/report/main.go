@@ -46,7 +46,7 @@ func main() {
 		resume  = flag.Bool("resume", false, "skip steps already recorded in the -checkpoint file")
 	)
 	flag.Parse()
-	sw := dyndiam.Sweep{Workers: cliutil.Workers(*workers)}
+	sw := dyndiam.Sweep{Workers: *workers}
 	if *obsOut != "" {
 		sw.Metrics = dyndiam.NewMetricsRegistry()
 	}

@@ -312,9 +312,10 @@ type ResultTable = harness.Table
 // sweeps are its methods (GapTable, LeaderSweep, EstimateSweep,
 // MajoritySweep, ConsensusGap, CFloodReduction, ConsensusReduction,
 // ConsensusReductionOracle, LeaderReliability, LeaderPhases,
-// LeaderDegradation, CFloodDegradation). The zero value runs cells
-// sequentially under DefaultRoundBudget with no metrics and no spans;
-// tables are identical at every Workers setting.
+// LeaderDegradation, CFloodDegradation). The zero value runs cells on
+// every core (Workers < 1 means GOMAXPROCS; Workers 1 is sequential)
+// under DefaultRoundBudget with no metrics and no spans; tables are
+// identical at every Workers setting.
 type Sweep = harness.Sweep
 
 // Experiment table renderers and the sweep-free entry points; see

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dyndiam/internal/dynet"
+	"dyndiam/internal/graph"
 	"dyndiam/internal/harness"
 	"dyndiam/internal/rng"
 )
@@ -161,5 +162,39 @@ func TestMutatePreservesInvariants(t *testing.T) {
 	}
 	if accepted < 100 {
 		t.Fatalf("only %d/200 mutations accepted; operator too weak", accepted)
+	}
+}
+
+// TestMutateFallsBackToFirstAbsentPair: on a two-round path 0-1-2-3 with
+// source seed 2, all eight random attempts fail (adds hit an edge or a
+// loop, deletes disconnect the path, rewires stay disconnected). mutate
+// then adds the first absent pair, (0, 2), to the round drawn from
+// Split(8); on a schedule of complete rounds it has nothing to add.
+func TestMutateFallsBackToFirstAbsentPair(t *testing.T) {
+	path := graph.New(4)
+	path.AddEdge(0, 1)
+	path.AddEdge(1, 2)
+	path.AddEdge(2, 3)
+	s := FromGraphs([]*graph.Graph{path, path.Clone()})
+	src := rng.New(2)
+	m, ok := mutate(s, src)
+	if !ok {
+		t.Fatal("mutate failed on a schedule with absent pairs")
+	}
+	want := s.Graphs()
+	want[src.Split(8).Intn(len(want))].AddEdge(0, 2)
+	if !reflect.DeepEqual(m, FromGraphs(want)) {
+		t.Fatalf("mutate = %+v, want %+v", m, FromGraphs(want))
+	}
+
+	// Every round of a two-node schedule is complete: no add, delete or
+	// rewire keeps it connected and simple.
+	edge := graph.New(2)
+	edge.AddEdge(0, 1)
+	full := FromGraphs([]*graph.Graph{edge, edge.Clone()})
+	for seed := uint64(0); seed < 16; seed++ {
+		if m, ok := mutate(full, rng.New(seed)); ok {
+			t.Fatalf("seed %d: mutate moved a schedule of complete rounds to %+v", seed, m)
+		}
 	}
 }

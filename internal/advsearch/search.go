@@ -178,9 +178,12 @@ func better(a, b Candidate) bool {
 
 // UnitResult is one completed search unit (a restart chain).
 type UnitResult struct {
-	Unit      int       `json:"unit"`
-	Best      Candidate `json:"best"`
-	Evaluated int       `json:"evaluated"`
+	Unit int       `json:"unit"`
+	Best Candidate `json:"best"`
+	// Evaluated is 1 + Steps: the random start and one candidate per
+	// step. A greedy step yields no candidate only when every round of
+	// the current schedule is a complete graph (see mutateGraphs).
+	Evaluated int `json:"evaluated"`
 }
 
 // State is the checkpointable search progress. It is pure data —
@@ -215,9 +218,11 @@ type Report struct {
 	// Top holds the best distinct discovered schedules (baseline
 	// excluded), hardest first.
 	Top []Candidate `json:"top,omitempty"`
-	// Evaluated counts search evaluations; Improvements counts how many
-	// times the running best improved while folding candidates in Seq
-	// order.
+	// Evaluated counts search evaluations, the constructed baseline
+	// excluded: Restarts*(Steps+1) in random and greedy mode (see
+	// UnitResult.Evaluated), Pop*(Steps+1) in evolve mode. Improvements
+	// counts how many times the running best improved while folding
+	// candidates in Seq order.
 	Evaluated    int `json:"evaluated"`
 	Improvements int `json:"improvements"`
 }
@@ -225,9 +230,10 @@ type Report struct {
 // Options carries the sweep options and the optional observability and
 // progress hooks.
 type Options struct {
-	// Sweep runs the candidate evaluations: its Workers sets the batch
+	// Sweep runs the candidate evaluations: its WorkersFor sets the batch
 	// size and cell concurrency, and its Metrics and Spans receive the
-	// per-cell roll-ups. The zero value evaluates one candidate at a time.
+	// per-cell roll-ups. The zero value evaluates GOMAXPROCS candidates
+	// at a time; Workers 1 evaluates one at a time.
 	Sweep harness.Sweep
 	// Metrics, when non-nil, receives advsearch_candidates_total,
 	// advsearch_improvements_total, and the advsearch_best_score gauge.
@@ -336,8 +342,8 @@ func countImprovements(constructed Candidate, pool []Candidate) int {
 }
 
 // searchUnits runs the random/greedy restart units that are not already
-// in st, in batches of opt.Sweep.Workers cells, checkpointing after each
-// batch. Every unit's work is a pure function of (cfg, unit index).
+// in st, in batches of opt.Sweep.WorkersFor(pending) cells, checkpointing
+// after each batch. Every unit's work is a pure function of (cfg, unit index).
 func searchUnits(cfg Config, st *State, opt Options) error {
 	done := map[int]bool{}
 	for _, u := range st.Units {
@@ -349,10 +355,7 @@ func searchUnits(cfg Config, st *State, opt Options) error {
 			pending = append(pending, u)
 		}
 	}
-	batch := opt.Sweep.Workers
-	if batch < 1 {
-		batch = 1
-	}
+	batch := opt.Sweep.WorkersFor(len(pending))
 	for len(pending) > 0 {
 		k := batch
 		if k > len(pending) {
@@ -522,8 +525,8 @@ func sortCandidates(cs []Candidate) {
 // mutate applies one random structural move to a copy of s: add an
 // absent edge, delete an edge, or rewire one edge to another slot — in
 // a random round, always preserving that round's connectivity. It
-// returns ok=false when no valid move was found within its attempt
-// budget (the schedule is untouched).
+// returns ok=false only when every round is a complete graph (the
+// schedule is untouched).
 func mutate(s Schedule, src *rng.Source) (Schedule, bool) {
 	gs := s.Graphs()
 	if !mutateGraphs(gs, src) {
@@ -573,6 +576,21 @@ func mutateGraphs(gs []*graph.Graph, src *rng.Source) bool {
 			}
 			g.RemoveEdge(u, v)
 			g.AddEdge(e[0], e[1])
+		}
+	}
+	// Every attempt failed: add the first absent pair (u < v, ascending)
+	// of a drawn round, or of the next round that has one. Adding an edge
+	// never disconnects a round.
+	r := src.Split(attempts).Intn(len(gs))
+	for k := range gs {
+		g := gs[(r+k)%len(gs)]
+		for u := 0; u < g.N(); u++ {
+			for v := u + 1; v < g.N(); v++ {
+				if !g.HasEdge(u, v) {
+					g.AddEdge(u, v)
+					return true
+				}
+			}
 		}
 	}
 	return false

@@ -3,6 +3,7 @@ package advsearch
 import (
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"dyndiam/internal/harness"
@@ -106,6 +107,61 @@ func TestSearchResumeEquivalent(t *testing.T) {
 				t.Fatalf("resumed report differs from uninterrupted run:\n%s\n%s", a, b)
 			}
 		})
+	}
+}
+
+// TestSearchResumeEquivalentDefaultSweep: under Options{} the restart
+// units run in batches of GOMAXPROCS, so the first checkpoint holds one
+// batch; resuming from it lands on the uninterrupted report.
+func TestSearchResumeEquivalentDefaultSweep(t *testing.T) {
+	cfg := testConfig(ProtoCFloodKnown, ModeGreedy)
+	cfg.Restarts, cfg.Steps = runtime.GOMAXPROCS(0)+1, 2
+	full, err := Search(cfg, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snapshot []byte
+	_, err = Search(cfg, nil, Options{OnProgress: func(st *State) error {
+		if snapshot == nil {
+			if want := runtime.GOMAXPROCS(0); len(st.Units) != want {
+				t.Errorf("first batch ran %d units, want GOMAXPROCS = %d", len(st.Units), want)
+			}
+			b, err := json.Marshal(st)
+			snapshot = b
+			return err
+		}
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st State
+	if err := json.Unmarshal(snapshot, &st); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := Search(cfg, &st, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := reportBytes(t, full), reportBytes(t, resumed); a != b {
+		t.Fatalf("resumed report differs from uninterrupted run:\n%s\n%s", a, b)
+	}
+}
+
+// TestSearchGreedyEvaluatesEveryStep: every greedy step yields one
+// candidate, so a search evaluates Restarts*(Steps+1) of them. The seeds
+// are two leaderelect configurations on which some step's eight random
+// mutation attempts all fail.
+func TestSearchGreedyEvaluatesEveryStep(t *testing.T) {
+	for _, seed := range []uint64{1273868014855007253, 14569775781405373818} {
+		cfg := Config{Proto: ProtoLeader, N: 12, Mode: ModeGreedy, Restarts: 2, Steps: 4, Seed: seed}
+		rep, err := Search(cfg, nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := cfg.Restarts * (cfg.Steps + 1); rep.Evaluated != want {
+			t.Errorf("seed %d: evaluated %d candidates, want %d", seed, rep.Evaluated, want)
+		}
 	}
 }
 

@@ -20,7 +20,8 @@ type Engine struct {
 	// Workers is ignored; it remains so callers that set it still
 	// compile. The engine steps and delivers to the machines on the
 	// goroutine that called Run, in ascending node order. Sweeps use
-	// cores one cell per goroutine instead (harness.Sweep.Workers).
+	// cores one cell per goroutine instead: harness.Sweep's zero value
+	// runs GOMAXPROCS cells at a time (Sweep.WorkersFor).
 	Workers int
 	// Trace, when non-nil, records per-round topologies and statistics.
 	Trace *Trace

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -18,15 +19,17 @@ import (
 
 // Sweep holds the options every harness sweep runs under. It is a plain
 // value passed down the call, so sweeps running side by side never see
-// each other's settings. The zero value runs cells sequentially under
-// DefaultRoundBudget, with no metric roll-up and no span capture.
+// each other's settings. The zero value runs cells on every core
+// (GOMAXPROCS workers) under DefaultRoundBudget, with no metric roll-up
+// and no span capture.
 //
 // Metrics and Spans are written from the sweep's calling goroutine once
 // its cells have finished, so one registry or sink must not be shared by
 // sweeps that run concurrently.
 type Sweep struct {
-	// Workers is how many cells run concurrently; < 1 runs them
-	// sequentially. It changes wall-clock time only, never results.
+	// Workers is how many cells run concurrently; < 1 means
+	// runtime.GOMAXPROCS(0), and 1 runs them sequentially (see
+	// WorkersFor). It changes wall-clock time only, never results.
 	Workers int
 
 	// Budget caps the rounds of open-ended protocol runs (leader
@@ -67,9 +70,13 @@ func (s Sweep) budget() int {
 	return s.Budget
 }
 
-// workers resolves Workers for a grid of cells: at least 1, at most cells.
-func (s Sweep) workers(cells int) int {
+// WorkersFor resolves Workers for a grid of cells: < 1 means
+// runtime.GOMAXPROCS(0), and the result is at least 1 and at most cells.
+func (s Sweep) WorkersFor(cells int) int {
 	w := s.Workers
+	if w < 1 {
+		w = runtime.GOMAXPROCS(0)
+	}
 	if w > cells {
 		w = cells
 	}
@@ -97,17 +104,20 @@ func (s Sweep) finish(regs []*obs.Registry) {
 }
 
 // runPool calls fn(i) for every i in [0, cells) across workers goroutines
-// and returns once all calls have.
+// and returns once all calls have. Cells are handed out from the highest
+// index down: sweeps list sizes in ascending order, so the largest cell
+// starts first instead of last, where it would run alone.
 func runPool(workers, cells int, fn func(i int)) {
 	var next atomic.Int64
+	next.Store(int64(cells))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1) - 1)
-				if i >= cells {
+				i := int(next.Add(-1))
+				if i < 0 {
 					return
 				}
 				fn(i)
@@ -118,8 +128,9 @@ func runPool(workers, cells int, fn func(i int)) {
 }
 
 // ForEachCell runs fn(i, reg) for every cell index in [0, cells) across
-// s.Workers goroutines. All cells run to completion; the lowest-index
-// error is returned, which is the error a sequential sweep reports first.
+// s.WorkersFor(cells) goroutines. All cells run to completion; the
+// lowest-index error is returned, which is the error a sequential sweep
+// reports first.
 // fn must derive all of its randomness from the cell index i (never from
 // execution order) and write only its own result slot; under that
 // contract results are identical at every Workers setting. reg is the
@@ -140,7 +151,7 @@ func (s Sweep) ForEachCell(cells int, fn func(i int, reg *obs.Registry) error) e
 		regs[i] = obs.NewRegistry()
 		return regs[i]
 	}
-	if workers := s.workers(cells); workers == 1 {
+	if workers := s.WorkersFor(cells); workers == 1 {
 		for i := 0; i < cells; i++ {
 			if err := fn(i, cellReg(i)); err != nil {
 				return err

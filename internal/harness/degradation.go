@@ -84,7 +84,8 @@ func FaultTrialSeed(root uint64, row, trial int) uint64 {
 }
 
 // degradationSweep drives one row per Spec, Trials graceful cells per row.
-// Rows run sequentially; trials within a row run across s.Workers.
+// All rows × trials run as one grid across s.WorkersFor(rows*trials), so
+// a slow row does not hold back the cells of the next.
 func (s Sweep) degradationSweep(cfg DegradationConfig, run func(trial int, plan *faults.Plan) (degTrial, error)) ([]DegradationRow, error) {
 	if cfg.Trials <= 0 {
 		return nil, fmt.Errorf("harness: degradation sweep needs at least one trial, got %d", cfg.Trials)
@@ -100,34 +101,32 @@ func (s Sweep) degradationSweep(cfg DegradationConfig, run func(trial int, plan 
 			return nil, fmt.Errorf("harness: degradation row %d: %w", i, err)
 		}
 	}
+	trials, outcomes := gracefulCells(s, len(cfg.Specs), cfg.Trials, cfg.CellBudget, func(i, trial int) (degTrial, error) {
+		var plan *faults.Plan
+		if spec := cfg.Specs[i]; !spec.Zero() {
+			spec.Seed = FaultTrialSeed(cfg.Seed, i, trial)
+			p, err := faults.NewPlan(spec)
+			if err != nil {
+				return degTrial{}, err
+			}
+			plan = p
+		}
+		return run(trial, plan)
+	})
 	rows := make([]DegradationRow, len(cfg.Specs))
 	for i, spec := range cfg.Specs {
-		i, spec := i, spec
-		trials, outcomes := gracefulCells(s, cfg.Trials, cfg.CellBudget, func(trial int) (degTrial, error) {
-			var plan *faults.Plan
-			if !spec.Zero() {
-				s := spec
-				s.Seed = FaultTrialSeed(cfg.Seed, i, trial)
-				p, err := faults.NewPlan(s)
-				if err != nil {
-					return degTrial{}, err
-				}
-				plan = p
-			}
-			return run(trial, plan)
-		})
 		row := DegradationRow{Spec: spec, Label: spec.Label(), Trials: cfg.Trials}
 		var rounds []float64
-		for t, oc := range outcomes {
-			if oc.Outcome != CellOK {
+		for k := i * cfg.Trials; k < (i+1)*cfg.Trials; k++ {
+			if oc := outcomes[k]; oc.Outcome != CellOK {
 				row.Errors++
 				row.CellFailures = append(row.CellFailures, oc)
 				continue
 			}
-			if trials[t].wrong {
+			if trials[k].wrong {
 				row.Errors++
 			}
-			rounds = append(rounds, float64(trials[t].rounds))
+			rounds = append(rounds, float64(trials[k].rounds))
 		}
 		row.ErrorRate = float64(row.Errors) / float64(cfg.Trials)
 		row.WilsonLo, row.WilsonHi = stats.Wilson(row.Errors, cfg.Trials, 1.96)

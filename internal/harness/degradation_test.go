@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -58,6 +59,59 @@ func TestDegradationParallelEqualsSequential(t *testing.T) {
 	}
 	if seq, par := run(1), run(8); !reflect.DeepEqual(seq, par) {
 		t.Errorf("degradation rows differ across worker counts:\nseq %+v\npar %+v", seq, par)
+	}
+}
+
+// TestDegradationGridWorkersDeepEqual: the degradation sweeps run all
+// rows × trials as one grid. Their rows, CellFailures and error values
+// included, are DeepEqual at Workers 1, 4 and the zero value, and every
+// failure names its trial within its row. The small round budget makes
+// most leader trials report NonTermination; a source that stays down
+// makes every CFLOOD trial of the last row miss its confirmation.
+func TestDegradationGridWorkersDeepEqual(t *testing.T) {
+	cfg := DegradationConfig{
+		N: 12, TargetDiam: 3, Trials: 3, Seed: 5,
+		Specs: []faults.Spec{{}, {Drop: 0.2}, {Outages: []faults.Outage{{Node: 0, From: 1, Until: 1 << 20}}}},
+	}
+	sweeps := []struct {
+		name  string
+		sweep func(Sweep, DegradationConfig) ([]DegradationRow, error)
+	}{
+		{"leader", Sweep.LeaderDegradation},
+		{"cflood", Sweep.CFloodDegradation},
+	}
+	for _, tc := range sweeps {
+		var runs [][]DegradationRow
+		for _, workers := range []int{1, 4, 0} {
+			rows, err := tc.sweep(Sweep{Workers: workers, Budget: 600}, cfg)
+			if err != nil {
+				t.Fatalf("%s at %d workers: %v", tc.name, workers, err)
+			}
+			runs = append(runs, rows)
+		}
+		for _, par := range runs[1:] {
+			if !reflect.DeepEqual(runs[0], par) {
+				t.Errorf("%s rows differ across worker counts:\nseq %+v\npar %+v", tc.name, runs[0], par)
+			}
+		}
+		nonTerm := 0
+		for i, row := range runs[0] {
+			for _, cf := range row.CellFailures {
+				var nt NonTermination
+				if errors.As(cf.Err, &nt) {
+					nonTerm++
+					if nt.Cell != cf.Cell {
+						t.Errorf("%s row %d: NonTermination names cell %d, CellResult %d", tc.name, i, nt.Cell, cf.Cell)
+					}
+				}
+				if cf.Cell < 0 || cf.Cell >= cfg.Trials {
+					t.Errorf("%s row %d: failure names cell %d, want a trial index below %d", tc.name, i, cf.Cell, cfg.Trials)
+				}
+			}
+		}
+		if nonTerm == 0 {
+			t.Errorf("%s: no trial reported NonTermination", tc.name)
+		}
 	}
 }
 

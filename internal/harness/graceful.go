@@ -81,41 +81,46 @@ type cellReply[T any] struct {
 	panicked bool
 }
 
-// runCellGuarded starts fn(i) in its own goroutine and returns the channel
-// its single reply will arrive on. The channel is buffered so an abandoned
-// (timed-out) cell's late reply parks in the buffer and is collected with
-// the goroutine — it never blocks and never races with the sweep, which
-// has already recorded the timeout and moved on.
-func runCellGuarded[T any](i int, fn func(i int) (T, error)) <-chan cellReply[T] {
+// runCellGuarded starts fn() in its own goroutine and returns the channel
+// its single reply will arrive on; a panic is recorded against cell. The
+// channel is buffered so an abandoned (timed-out) cell's late reply parks
+// in the buffer and is collected with the goroutine — it never blocks and
+// never races with the sweep, which has already recorded the timeout and
+// moved on.
+func runCellGuarded[T any](cell int, fn func() (T, error)) <-chan cellReply[T] {
 	ch := make(chan cellReply[T], 1)
 	go func() {
 		defer func() {
 			if v := recover(); v != nil {
-				ch <- cellReply[T]{err: ErrCellPanic{Cell: i, Value: v}, panicked: true}
+				ch <- cellReply[T]{err: ErrCellPanic{Cell: cell, Value: v}, panicked: true}
 			}
 		}()
-		val, err := fn(i)
+		val, err := fn()
 		ch <- cellReply[T]{val: val, err: err}
 	}()
 	return ch
 }
 
-// gracefulCells runs fn(i) for every cell index in [0, cells) across
-// s.Workers goroutines, giving each cell at most budget of wall-clock
-// time (budget <= 0 means unlimited). It never fails: every cell gets a
-// CellResult, and results[i] holds fn's value exactly when outcomes[i] is
-// CellOK (the zero T otherwise). Cells must derive all randomness from
-// their index, as in Sweep.ForEachCell, so the values are
+// gracefulCells runs fn(row, col) for every cell of a rows × cols grid
+// across s.WorkersFor(rows*cols) goroutines, giving each cell at most
+// budget of wall-clock time (budget <= 0 means unlimited). It never
+// fails: every cell gets a CellResult, and results[k] holds fn's value
+// exactly when outcomes[k] is CellOK (the zero T otherwise), where
+// k = row*cols + col. A CellResult and its error name the cell by col,
+// its index within its row. Cells must derive all randomness from their
+// indices, as in Sweep.ForEachCell, so the values are
 // schedule-independent; only the wall-clock timeout outcome can vary
 // between machines, which is why deterministic artifacts (tables,
 // checkpoints) record timeouts as failures rather than silently
 // re-deriving their cells. (Go methods cannot be generic, so the Sweep
 // is a parameter here.)
-func gracefulCells[T any](s Sweep, cells int, budget time.Duration, fn func(i int) (T, error)) (results []T, outcomes []CellResult) {
+func gracefulCells[T any](s Sweep, rows, cols int, budget time.Duration, fn func(row, col int) (T, error)) (results []T, outcomes []CellResult) {
+	cells := rows * cols
 	results = make([]T, cells)
 	outcomes = make([]CellResult, cells)
-	runPool(s.workers(cells), cells, func(i int) {
-		ch := runCellGuarded(i, fn)
+	runPool(s.WorkersFor(cells), cells, func(k int) {
+		row, col := k/cols, k%cols
+		ch := runCellGuarded(col, func() (T, error) { return fn(row, col) })
 		var rep cellReply[T]
 		if budget > 0 {
 			t := time.NewTimer(budget)
@@ -123,7 +128,7 @@ func gracefulCells[T any](s Sweep, cells int, budget time.Duration, fn func(i in
 			case rep = <-ch:
 				t.Stop()
 			case <-t.C:
-				outcomes[i] = CellResult{Cell: i, Outcome: CellTimedOut, Err: ErrCellTimeout{Cell: i, Budget: budget}}
+				outcomes[k] = CellResult{Cell: col, Outcome: CellTimedOut, Err: ErrCellTimeout{Cell: col, Budget: budget}}
 				return
 			}
 		} else {
@@ -131,12 +136,12 @@ func gracefulCells[T any](s Sweep, cells int, budget time.Duration, fn func(i in
 		}
 		switch {
 		case rep.panicked:
-			outcomes[i] = CellResult{Cell: i, Outcome: CellPanicked, Err: rep.err}
+			outcomes[k] = CellResult{Cell: col, Outcome: CellPanicked, Err: rep.err}
 		case rep.err != nil:
-			outcomes[i] = CellResult{Cell: i, Outcome: CellFailed, Err: rep.err}
+			outcomes[k] = CellResult{Cell: col, Outcome: CellFailed, Err: rep.err}
 		default:
-			results[i] = rep.val
-			outcomes[i] = CellResult{Cell: i, Outcome: CellOK}
+			results[k] = rep.val
+			outcomes[k] = CellResult{Cell: col, Outcome: CellOK}
 		}
 	})
 	return results, outcomes

@@ -12,7 +12,7 @@ import (
 // timing-out cells still runs to completion and records each outcome.
 func TestGracefulCellsAllOutcomes(t *testing.T) {
 	wantErr := errors.New("cell error")
-	results, outcomes := gracefulCells(Sweep{Workers: 1}, 4, 30*time.Millisecond, func(i int) (int, error) {
+	results, outcomes := gracefulCells(Sweep{Workers: 1}, 1, 4, 30*time.Millisecond, func(_, i int) (int, error) {
 		switch i {
 		case 1:
 			return 0, wantErr
@@ -62,7 +62,8 @@ func TestGracefulCellsAllOutcomes(t *testing.T) {
 // same results and outcomes at every worker count.
 func TestGracefulCellsParallelEqualsSequential(t *testing.T) {
 	run := func(workers int) ([]int, []CellResult) {
-		return gracefulCells(Sweep{Workers: workers}, 40, 0, func(i int) (int, error) {
+		return gracefulCells(Sweep{Workers: workers}, 5, 8, 0, func(row, col int) (int, error) {
+			i := row*8 + col
 			if i%7 == 3 {
 				return 0, errors.New("unlucky")
 			}
@@ -82,9 +83,38 @@ func TestGracefulCellsParallelEqualsSequential(t *testing.T) {
 	}
 }
 
+// TestGracefulCellsGridNamesColumn: a grid's outcomes and their errors
+// name each cell by its index within its row, whichever worker ran it.
+func TestGracefulCellsGridNamesColumn(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		_, outcomes := gracefulCells(Sweep{Workers: workers}, 3, 2, 20*time.Millisecond, func(row, col int) (int, error) {
+			switch {
+			case row == 1 && col == 1:
+				panic("cell panic")
+			case row == 2 && col == 1:
+				time.Sleep(time.Second)
+			}
+			return 0, nil
+		})
+		for k, oc := range outcomes {
+			if oc.Cell != k%2 {
+				t.Errorf("workers %d: cell %d named %d, want %d", workers, k, oc.Cell, k%2)
+			}
+		}
+		var pan ErrCellPanic
+		if !errors.As(outcomes[3].Err, &pan) || pan.Cell != 1 {
+			t.Errorf("workers %d: panic error = %#v", workers, outcomes[3].Err)
+		}
+		var timeout ErrCellTimeout
+		if !errors.As(outcomes[5].Err, &timeout) || timeout.Cell != 1 {
+			t.Errorf("workers %d: timeout error = %#v", workers, outcomes[5].Err)
+		}
+	}
+}
+
 // TestGracefulCellsUnlimitedBudget: budget <= 0 never times out.
 func TestGracefulCellsUnlimitedBudget(t *testing.T) {
-	_, outcomes := gracefulCells(Sweep{}, 3, 0, func(i int) (int, error) {
+	_, outcomes := gracefulCells(Sweep{}, 1, 3, 0, func(_, i int) (int, error) {
 		time.Sleep(time.Millisecond)
 		return i, nil
 	})

@@ -298,6 +298,28 @@ func TestJobBudgetDegradesToRecordedError(t *testing.T) {
 	}
 }
 
+// TestJobSweepRunsSerially: a job's sweep runs its cells one at a time,
+// under the configured round budget; the worker pool is the server's
+// parallelism.
+func TestJobSweepRunsSerially(t *testing.T) {
+	t.Parallel()
+	got := make(chan harness.Sweep, 1)
+	s := newStubServer(t, Config{RoundBudget: 77, Exec: func(sw harness.Sweep, kind Kind, p Params) ([]byte, error) {
+		got <- sw
+		return stubBody(kind, p), nil
+	}})
+	view, _, err := s.Submit(KindFigure, Params{Figure: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, final, ok := s.Wait(view.Key); !ok || final.Status != StatusDone {
+		t.Fatalf("final = (%+v, %v)", final, ok)
+	}
+	if sw := <-got; sw.Workers != 1 || sw.Budget != 77 {
+		t.Fatalf("job sweep = %+v, want Workers 1 and Budget 77", sw)
+	}
+}
+
 func TestPanicDegradesToRecordedError(t *testing.T) {
 	t.Parallel()
 	s := newStubServer(t, Config{

@@ -347,7 +347,9 @@ func (s *Server) runJob(e *entry) {
 	s.m.executions.Add(1)
 	s.recordRunning(e)
 	start := time.Now() //lint:allow servedeterminism job latency metric, never observed by experiment code
-	sw := harness.Sweep{Budget: s.cfg.RoundBudget}
+	// A job runs its sweep cells one at a time: the worker pool is the
+	// server's parallelism, and it already runs jobs side by side.
+	sw := harness.Sweep{Workers: 1, Budget: s.cfg.RoundBudget}
 	if s.cfg.CaptureSweepSpans && e.flight != nil {
 		sw.Spans = e.flight
 	}
