@@ -68,8 +68,7 @@
 // See internal/serve and "Serving experiments" in README.md.
 //
 // Model invariants that are code discipline rather than runtime checks
-// (determinism, CONGEST bit accounting, print hygiene, observability and
-// fault-schedule determinism) are enforced statically by cmd/dynlint; see
-// "Static
-// analysis & model invariants" in README.md.
+// (determinism, CONGEST bit accounting, print hygiene) are enforced
+// statically by cmd/dynlint; see "Static analysis & model invariants" in
+// README.md.
 package dyndiam

@@ -353,6 +353,11 @@ func scratchExpr(info *types.Info, scratch map[*types.Var]bool, e ast.Expr) bool
 		v, ok := info.ObjectOf(e).(*types.Var)
 		return ok && scratch[v]
 	case *ast.SliceExpr:
+		// A full slice expression whose max is its high bound, like
+		// x[:0:0], leaves no capacity: appending to it always allocates.
+		if e.Slice3 && types.ExprString(e.High) == types.ExprString(e.Max) {
+			return false
+		}
 		return scratchExpr(info, scratch, e.X)
 	case *ast.IndexExpr:
 		return scratchExpr(info, scratch, e.X)

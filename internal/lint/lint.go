@@ -22,8 +22,8 @@
 // placed either on the flagged line or, as a standalone comment line, on
 // the line directly above it. A trailing allow (sharing its line with
 // code) suppresses only its own line. The first field is one rule name or
-// a comma-separated list (for lines that several strict rules flag at
-// once); the reason is free text but should name the invariant argument
+// a comma-separated list (for lines that several rules flag at once); the
+// reason is free text but should name the invariant argument
 // (e.g. "callers sort; order documented as unspecified"). For the
 // interprocedural rules, an allow on a call-site line additionally prunes
 // the call-graph edges leaving that line, so one escape both silences the
@@ -55,8 +55,8 @@ func (f Finding) String() string {
 
 // Analyzer is one named per-package rule. Run inspects a loaded package
 // through the Pass and reports findings; Scope decides which import paths
-// the driver applies the rule to (tests bypass Scope and run analyzers
-// directly).
+// RunAll and the driver apply the rule to (the package-level Run bypasses
+// it).
 type Analyzer struct {
 	Name  string
 	Doc   string
@@ -276,11 +276,6 @@ func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
 		MapOrder,
-		ObsDeterminism,
-		FaultsDeterminism,
-		ServeDeterminism,
-		WireDeterminism,
-		SearchDeterminism,
 		CongestSend,
 		PanicFree,
 		PrintClean,
@@ -297,17 +292,4 @@ func underAny(path string, trees ...string) bool {
 		}
 	}
 	return false
-}
-
-// pkgIdent resolves a selector's qualifier to the import path of the
-// package it names, or "" when the qualifier is not a package name.
-func (p *Pass) pkgIdent(e ast.Expr) string {
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return ""
-	}
-	if pn, ok := p.ObjectOf(id).(*types.PkgName); ok {
-		return pn.Imported().Path()
-	}
-	return ""
 }

@@ -68,75 +68,54 @@ func gotLines(fs []Finding) []string {
 	return out
 }
 
-// TestAnalyzers is the table-driven corpus check: for every rule, the
-// analyzer must flag exactly the `// want:<rule>` lines of its corpus —
-// bad.go lines are caught, good.go stays silent.
+// ruleCorpora maps each per-package rule to its corpora. The
+// determinism corpora sit at paths named like the policy's packages, so
+// they reach the rule through the policy table like real code does.
+var ruleCorpora = []struct {
+	rule    string
+	corpora []string
+}{
+	{"determinism", []string{"internal/dynet", "internal/obs", "internal/faults", "internal/serve", "internal/wire", "internal/advsearch"}},
+	{"maporder", []string{"maporder"}},
+	{"congestsend", []string{"internal/protocols/congestsend"}},
+	{"panicfree", []string{"panicfree"}},
+	{"printclean", []string{"printclean"}},
+}
+
+// TestAnalyzers is the table-driven corpus check: run through the
+// driver's scopes, every rule must flag exactly the `// want:<rule>`
+// lines of its corpora.
 func TestAnalyzers(t *testing.T) {
-	cases := []struct {
-		analyzer *Analyzer
-		corpus   string
-	}{
-		{Determinism, "determinism"},
-		{MapOrder, "maporder"},
-		{ObsDeterminism, "obsdeterminism"},
-		{FaultsDeterminism, "faultsdeterminism"},
-		{ServeDeterminism, "servedeterminism"},
-		{WireDeterminism, "wiredeterminism"},
-		{SearchDeterminism, "searchdeterminism"},
-		{CongestSend, "congestsend"},
-		{PanicFree, "panicfree"},
-		{PrintClean, "printclean"},
-	}
-	for _, c := range cases {
-		t.Run(c.analyzer.Name, func(t *testing.T) {
-			pkg := loadCorpus(t, c.corpus)
-			got := gotLines(Run(c.analyzer, pkg))
-			want := wantLines(pkg, c.analyzer.Name)
-			if len(want) == 0 {
-				t.Fatalf("corpus %s has no want:%s annotations", c.corpus, c.analyzer.Name)
-			}
-			if strings.Join(got, ",") != strings.Join(want, ",") {
-				t.Errorf("findings mismatch\n got: %v\nwant: %v", got, want)
+	for _, c := range ruleCorpora {
+		t.Run(c.rule, func(t *testing.T) {
+			for _, corpus := range c.corpora {
+				t.Run(corpus, func(t *testing.T) {
+					pkg := loadCorpus(t, corpus)
+					got := gotLines(byRule(RunAll(DefaultAnalyzers(), pkg), c.rule))
+					want := wantLines(pkg, c.rule)
+					if len(want) == 0 {
+						t.Fatalf("corpus %s has no want:%s annotations", corpus, c.rule)
+					}
+					if strings.Join(got, ",") != strings.Join(want, ",") {
+						t.Errorf("findings mismatch\n got: %v\nwant: %v", got, want)
+					}
+				})
 			}
 		})
 	}
 }
 
-// TestRuleExclusivity: each bad corpus is caught by exactly its intended
-// analyzer — no rule fires on another rule's corpus (the corpora are
-// minimal on purpose) — except for documented intended overlaps:
-// obsdeterminism is deliberately a strict superset of maporder's
-// iteration rule (any map range, not just order-leaking ones) and of
-// determinism's wall-clock rule, so those pairs co-fire when Scope is
-// bypassed, as this test does.
+// TestRuleExclusivity: run through the driver's scopes, each corpus
+// draws findings from its own rule alone (the corpora are minimal on
+// purpose). In particular a strict package's map range is one
+// determinism finding, never a maporder twin.
 func TestRuleExclusivity(t *testing.T) {
-	all := DefaultAnalyzers()
-	corpora := []string{"determinism", "maporder", "obsdeterminism", "faultsdeterminism", "servedeterminism", "wiredeterminism", "searchdeterminism", "congestsend", "panicfree", "printclean"}
-	intendedOverlap := map[string]map[string]bool{
-		"determinism": {"obsdeterminism": true, "faultsdeterminism": true, "servedeterminism": true, "wiredeterminism": true, "searchdeterminism": true}, // all six ban the wall clock
-		// Every maporder range is also a map range under the strict rules.
-		"maporder":          {"obsdeterminism": true, "faultsdeterminism": true, "servedeterminism": true, "wiredeterminism": true, "searchdeterminism": true},
-		"obsdeterminism":    {"determinism": true, "faultsdeterminism": true, "servedeterminism": true, "wiredeterminism": true, "searchdeterminism": true}, // time.Now + map ranges co-fire
-		"faultsdeterminism": {"determinism": true, "obsdeterminism": true, "servedeterminism": true, "wiredeterminism": true, "searchdeterminism": true},    // same strict-superset pattern
-		"servedeterminism":  {"determinism": true, "obsdeterminism": true, "faultsdeterminism": true, "wiredeterminism": true, "searchdeterminism": true},   // same strict-superset pattern
-		"wiredeterminism":   {"determinism": true, "obsdeterminism": true, "faultsdeterminism": true, "servedeterminism": true, "searchdeterminism": true},  // same strict-superset pattern
-		"searchdeterminism": {"determinism": true, "obsdeterminism": true, "faultsdeterminism": true, "servedeterminism": true, "wiredeterminism": true},    // same strict-superset pattern
-	}
-	for _, corpus := range corpora {
-		pkg := loadCorpus(t, corpus)
-		for _, a := range all {
-			fs := Run(a, pkg)
-			if a.Name == corpus {
-				if len(fs) == 0 {
-					t.Errorf("%s: intended analyzer found nothing", corpus)
+	for _, c := range ruleCorpora {
+		for _, corpus := range c.corpora {
+			for _, f := range RunAll(DefaultAnalyzers(), loadCorpus(t, corpus)) {
+				if f.Rule != c.rule {
+					t.Errorf("%s: unrelated analyzer %s fired: %s", corpus, f.Rule, f)
 				}
-				continue
-			}
-			if intendedOverlap[corpus][a.Name] {
-				continue
-			}
-			if len(fs) != 0 {
-				t.Errorf("%s: unrelated analyzer %s fired: %v", corpus, a.Name, fs)
 			}
 		}
 	}
@@ -155,7 +134,8 @@ func TestAllowSuppression(t *testing.T) {
 	}
 }
 
-// TestScopes pins the package scoping policy of each rule.
+// TestScopes pins the package scoping policy of each rule and the
+// determinism policy row that governs each path.
 func TestScopes(t *testing.T) {
 	cases := []struct {
 		rule string
@@ -164,42 +144,16 @@ func TestScopes(t *testing.T) {
 	}{
 		{"determinism", "dyndiam/internal/dynet", true},
 		{"determinism", "dyndiam/internal/protocols/flood", true},
-		// The parallel sweep harness is in scope: per-cell seeds must come
-		// from internal/rng for worker-count-independent tables.
-		{"determinism", "dyndiam/internal/harness", true},
+		{"determinism", "dyndiam/internal/serve", true},
 		{"determinism", "dyndiam/cmd/report", false},
+		{"determinism", "dyndiam/internal/verify", false},
 		{"maporder", "dyndiam/internal/verify", true},
+		{"maporder", "dyndiam/internal/dynet", true},
 		{"maporder", "dyndiam/cmd/dynsim", false},
-		// The strict obs rule covers only the observability layer; the
-		// engine and protocols keep the leak-based maporder rule.
-		{"obsdeterminism", "dyndiam/internal/obs", true},
-		{"obsdeterminism", "dyndiam/internal/dynet", false},
-		{"obsdeterminism", "dyndiam/internal/harness", false},
-		// Fault plans are replay contracts: the general determinism rule
-		// and the strict faults rule both cover internal/faults.
-		{"determinism", "dyndiam/internal/faults", true},
-		{"faultsdeterminism", "dyndiam/internal/faults", true},
-		{"faultsdeterminism", "dyndiam/internal/dynet", false},
-		{"faultsdeterminism", "dyndiam/internal/obs", false},
-		// The serving layer gets the same strict treatment: content
-		// addressing needs one byte string per (kind, params) forever.
-		{"servedeterminism", "dyndiam/internal/serve", true},
-		{"servedeterminism", "dyndiam/internal/obs", false},
-		{"servedeterminism", "dyndiam/internal/faults", false},
-		{"servedeterminism", "dyndiam/cmd/dynserve", false},
-		// The wire layer carries the distributed-equivalence proof: map
-		// iteration and unannotated clocks are banned on the frame path.
-		{"wiredeterminism", "dyndiam/internal/wire", true},
-		{"wiredeterminism", "dyndiam/internal/serve", false},
-		{"wiredeterminism", "dyndiam/internal/dynet", false},
-		{"wiredeterminism", "dyndiam/cmd/dynnode", false},
-		// Adversary search results are triple reproducibility contracts
-		// (worker-count goldens, checkpoint resume, corpus replay), so the
-		// strict rule covers the search layer but not its CLI.
-		{"searchdeterminism", "dyndiam/internal/advsearch", true},
-		{"searchdeterminism", "dyndiam/internal/harness", false},
-		{"searchdeterminism", "dyndiam/internal/serve", false},
-		{"searchdeterminism", "dyndiam/cmd/advsearch", false},
+		// determinism bans every map range in the strict rows, so
+		// maporder skips them: one loop, one finding.
+		{"maporder", "dyndiam/internal/obs", false},
+		{"maporder", "dyndiam/internal/advsearch", false},
 		{"congestsend", "dyndiam/internal/protocols/leader", true},
 		{"congestsend", "dyndiam/internal/dynet", false},
 		{"panicfree", "dyndiam/internal/graph", true},
@@ -218,6 +172,70 @@ func TestScopes(t *testing.T) {
 		}
 		if got := a.Scope(c.path); got != c.want {
 			t.Errorf("%s.Scope(%s) = %v, want %v", c.rule, c.path, got, c.want)
+		}
+	}
+
+	rows := []struct {
+		path   string
+		tree   string // "" when no row governs the path
+		strict bool
+	}{
+		{"dyndiam/internal/dynet", "internal/dynet", false},
+		{"dyndiam/internal/protocols/flood", "internal/protocols", false},
+		// The sweep harness derives per-cell seeds from internal/rng, so
+		// tables are independent of the worker count.
+		{"dyndiam/internal/harness", "internal/harness", false},
+		// Event logs, fault plans, served results, distributed runs and
+		// search reports are reproducibility artifacts themselves.
+		{"dyndiam/internal/obs", "internal/obs", true},
+		{"dyndiam/internal/faults", "internal/faults", true},
+		{"dyndiam/internal/serve", "internal/serve", true},
+		{"dyndiam/internal/wire", "internal/wire", true},
+		{"dyndiam/internal/advsearch", "internal/advsearch", true},
+		// The layers' CLIs and the verifier are outside the policy.
+		{"dyndiam/cmd/dynserve", "", false},
+		{"dyndiam/cmd/dynnode", "", false},
+		{"dyndiam/cmd/advsearch", "", false},
+		{"dyndiam/internal/verify", "", false},
+	}
+	for _, c := range rows {
+		row := policyFor(c.path)
+		switch {
+		case row == nil && c.tree != "":
+			t.Errorf("policyFor(%s) = nil, want row %s", c.path, c.tree)
+		case row != nil && (row.Tree != c.tree || row.Strict != c.strict):
+			t.Errorf("policyFor(%s) = {%s strict=%v}, want {%q strict=%v}", c.path, row.Tree, row.Strict, c.tree, c.strict)
+		}
+	}
+}
+
+// TestPolicyRowsLive: every determinism policy row governs at least one
+// package of this repository, so renaming a package cannot silently drop
+// its row.
+func TestPolicyRowsLive(t *testing.T) {
+	loader, err := sharedLoader()
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	dirs, err := PackageDirs(loader.ModRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := loader.LoadModule(dirs)
+	if err != nil {
+		t.Fatalf("LoadModule: %v", err)
+	}
+	for i := range determinismPolicy {
+		row := &determinismPolicy[i]
+		live := false
+		for _, pkg := range mod.Pkgs {
+			if policyFor(pkg.Path) == row {
+				live = true
+				break
+			}
+		}
+		if !live {
+			t.Errorf("policy row %s governs no package of the module", row.Tree)
 		}
 	}
 }

@@ -17,13 +17,18 @@ import (
 // Order-independent writes (assigning to an element keyed by the loop
 // variable, accumulating into a local declared inside the loop body) are
 // not flagged. Intentionally order-free uses (e.g. collect-then-sort)
-// carry a //lint:allow maporder comment naming the argument.
+// carry a //lint:allow maporder comment naming the argument. The strict
+// rows of the determinism policy are skipped: determinism already bans
+// every map range there, so one loop yields one finding.
 var MapOrder = &Analyzer{
 	Name: "maporder",
 	Doc: "flag map iteration whose order leaks into returns, errors, or slices " +
 		"(nondeterministic iteration order must not reach results)",
-	Scope: func(path string) bool { return underAny(path, "internal") },
-	Run:   runMapOrder,
+	Scope: func(path string) bool {
+		row := policyFor(path)
+		return underAny(path, "internal") && (row == nil || !row.Strict)
+	},
+	Run: runMapOrder,
 }
 
 // orderSensitiveCalls format values into ordered output.
@@ -40,25 +45,13 @@ func runMapOrder(p *Pass) {
 			if !ok {
 				return true
 			}
-			if !p.isMapRange(rng) {
+			if !isMapRange(p.Info, rng) {
 				return true
 			}
 			p.checkMapBody(file, rng)
 			return true
 		})
 	}
-}
-
-// isMapRange reports whether the range statement iterates a map. When
-// type information is unavailable the loop is not flagged (the rule
-// never guesses).
-func (p *Pass) isMapRange(rng *ast.RangeStmt) bool {
-	t := p.TypeOf(rng.X)
-	if t == nil {
-		return false
-	}
-	_, ok := t.Underlying().(*types.Map)
-	return ok
 }
 
 func (p *Pass) checkMapBody(f *ast.File, rng *ast.RangeStmt) {
@@ -102,7 +95,7 @@ func (p *Pass) checkMapBodyCall(f *ast.File, body *ast.BlockStmt, call *ast.Call
 		}
 		p.Reportf(call.Pos(), "append inside map iteration builds a slice in randomized map order")
 	case *ast.SelectorExpr:
-		pkg := p.pkgIdentOrName(f, fn.X)
+		pkg := importPathOf(p.Info, f, fn.X)
 		if sels, ok := orderSensitiveCalls[pkgBase(pkg)]; ok && sels[fn.Sel.Name] {
 			p.Reportf(call.Pos(), "%s.%s inside map iteration: message content depends on randomized map order", pkgBase(pkg), fn.Sel.Name)
 		}

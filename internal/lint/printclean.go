@@ -42,7 +42,7 @@ func runPrintClean(p *Pass) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
-				switch p.pkgIdentOrName(file, n.X) {
+				switch importPathOf(p.Info, file, n.X) {
 				case "fmt":
 					if bannedPrintCalls[n.Sel.Name] {
 						p.Reportf(n.Pos(), "fmt.%s writes to os.Stdout from library code: return values and let cmd/* render them", n.Sel.Name)

@@ -2,17 +2,16 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
 // PurityTaint is the interprocedural determinism rule. The paper's
 // public-coin reductions (Theorems 6-7) collapse if any state machine
 // step depends on wall time, ambient randomness, or map iteration order:
-// two replays of the same coin tape would diverge. Per-package rules
-// catch direct violations inside internal/protocols; this rule closes
-// the interprocedural gap — a helper two packages away calling time.Now
-// taints every Machine.Step that reaches it.
+// two replays of the same coin tape would diverge. The determinism rule
+// catches direct violations inside its policy's packages; this rule
+// closes the interprocedural gap — a helper two packages away calling
+// time.Now taints every Machine.Step that reaches it.
 //
 // Roots are discovered structurally plus by annotation:
 //
@@ -21,7 +20,8 @@ import (
 //   - every function annotated //lint:pure in its doc comment
 //     (the harness sweep cells, which must be replayable).
 //
-// Sinks, flagged in every reachable function: time.Now / time.Since /
+// Sinks, flagged in every reachable function, are those of the
+// determinism rule's classifier (classifySink): time.Now / time.Since /
 // time.Until, any use of math/rand or math/rand/v2, and ranging over a
 // map (iteration order is randomized by the runtime). An allow on a
 // call-site line prunes traversal; on a sink line it suppresses the
@@ -78,46 +78,20 @@ func machineRoots(g *CallGraph) []*FuncNode {
 	return roots
 }
 
+// pureAdvice tells a puritytaint finding's reader what to do instead.
+var pureAdvice = map[sink]string{
+	clockSink: "thread logical round numbers instead",
+	randSink:  "use internal/rng coin tapes instead",
+	mapSink:   "collect and sort keys instead",
+}
+
 // checkPure scans one reachable function body for nondeterminism sinks.
 func checkPure(mp *ModulePass, n *FuncNode, reach *reachResult) {
-	info := n.Pkg.Info
 	suffix := " [taint path: " + reach.path(n) + "]"
-	report := func(pos token.Pos, format string, args ...interface{}) {
-		mp.Reportf(pos, format+"%s", append(args, suffix)...)
-	}
 	ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
-		switch x := x.(type) {
-		case *ast.RangeStmt:
-			if t := info.TypeOf(x.X); t != nil {
-				if _, ok := t.Underlying().(*types.Map); ok {
-					report(x.Pos(), "range over map has randomized iteration order; collect and sort keys instead")
-				}
-			}
-		case *ast.SelectorExpr:
-			path := pkgPathOf(info, x.X)
-			switch path {
-			case "time":
-				switch x.Sel.Name {
-				case "Now", "Since", "Until":
-					report(x.Pos(), "time.%s reads the wall clock; thread logical round numbers instead", x.Sel.Name)
-				}
-			case "math/rand", "math/rand/v2":
-				report(x.Pos(), "%s.%s draws ambient randomness; use internal/rng coin tapes instead", path, x.Sel.Name)
-			}
+		if kind, what := classifySink(n.Pkg.Info, nil, x); kind != noSink {
+			mp.Reportf(x.Pos(), "%s; %s%s", what, pureAdvice[kind], suffix)
 		}
 		return true
 	})
-}
-
-// pkgPathOf resolves a selector qualifier to its package import path, or
-// "" when the qualifier is not a package name.
-func pkgPathOf(info *types.Info, e ast.Expr) string {
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return ""
-	}
-	if pn, ok := info.ObjectOf(id).(*types.PkgName); ok {
-		return pn.Imported().Path()
-	}
-	return ""
 }

@@ -1,7 +1,8 @@
 // Package hot holds the //lint:hotpath roots of the corpus: one root
 // reaching allocations across packages and through interface dispatch,
-// one exercising the intraprocedural allocation catalog, and one showing
-// the documented edge-prune escape.
+// one exercising the intraprocedural allocation catalog, one telling
+// buffer reuse from a zero-capacity reslice, and one showing the
+// documented edge-prune escape.
 package hot
 
 import (
@@ -70,6 +71,19 @@ func Local(name string, xs []int) string {
 	f()
 	fmt.Println(name) // want:hotpathalloc
 	return name + "!" // want:hotpathalloc
+}
+
+// ring reuses one field buffer across calls.
+type ring struct{ vals []int }
+
+// Refill resets the buffer before appending. Slicing to [:0] keeps the
+// capacity; slicing to [:0:0] drops it, so that append allocates on
+// every call.
+//
+//lint:hotpath
+func (r *ring) Refill(v int) {
+	r.vals = append(r.vals[:0], v)
+	r.vals = append(r.vals[:0:0], v) // want:hotpathalloc
 }
 
 // Pruned calls an allocating helper through a documented allow: the

@@ -55,3 +55,15 @@ func Clean(x int) int {
 func Typo(x int) int {
 	return x * 2 //lint:allow puritytant want:staleallow misspelled rule name
 }
+
+// Retired carries directives naming the per-layer determinism rules
+// that the determinism policy table replaced; a leftover name is an
+// unknown rule, reported like any typo.
+func Retired(x int) int {
+	//lint:allow obsdeterminism want:staleallow retired rule name
+	//lint:allow faultsdeterminism want:staleallow retired rule name
+	//lint:allow servedeterminism want:staleallow retired rule name
+	//lint:allow wiredeterminism want:staleallow retired rule name
+	//lint:allow searchdeterminism want:staleallow retired rule name
+	return x
+}

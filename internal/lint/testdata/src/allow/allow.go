@@ -1,6 +1,6 @@
 // Package allow is a lint fixture exercising the //lint:allow escape
-// hatch: every violation below is suppressed, so running any analyzer
-// over this package must yield zero findings.
+// hatch: every violation below is suppressed except the want-marked
+// lines, whose allows do not cover them.
 package allow
 
 import (
@@ -9,19 +9,27 @@ import (
 )
 
 // SortedValues collects then sorts; the maporder allow rides on the
-// line above the append, the comma-list allow suppresses two of the
-// stricter any-map-range rules at once, and the faultsdeterminism allow
-// demonstrates the single-rule form on the loop itself.
+// line above the append.
 func SortedValues(m map[int]int) []int {
 	var out []int
-	//lint:allow obsdeterminism,servedeterminism,wiredeterminism,searchdeterminism fixture demonstrates the comma-list escape hatch
-	for _, v := range m { //lint:allow faultsdeterminism fixture demonstrates the strict-rule escape hatch
-
+	for _, v := range m {
 		//lint:allow maporder collected slice is sorted before being returned
 		out = append(out, v)
 	}
 	sort.Ints(out)
 	return out
+}
+
+// CheckPositive panics naming a map key, a line two rules flag at once
+// (maporder for the Sprintf inside the loop, panicfree for the panic):
+// one comma-list allow suppresses both.
+func CheckPositive(m map[int]int) {
+	for k, v := range m {
+		if v < 0 {
+			//lint:allow maporder,panicfree fixture demonstrates the comma-list escape hatch
+			panic(fmt.Sprintf("negative value at key %d", k))
+		}
+	}
 }
 
 // Banner is a deliberate same-line suppression.
@@ -47,14 +55,10 @@ func TrailingScope(v int) {
 }
 
 // WrongRule shows that an allow for a different rule does not suppress:
-// the panicfree allow below must NOT silence maporder, and the
-// unsuppressed map range is still an obsdeterminism finding (the
-// faultsdeterminism/servedeterminism twins of that finding are allowed
-// away to keep each line at one want marker).
+// the panicfree allow below must NOT silence maporder.
 func WrongRule(m map[int]int) []int {
 	var out []int
-	//lint:allow faultsdeterminism,servedeterminism,wiredeterminism,searchdeterminism keep this line at a single want marker
-	for k := range m { // want:obsdeterminism
+	for k := range m {
 		//lint:allow panicfree mismatched rule name
 		out = append(out, k) // want:maporder
 	}

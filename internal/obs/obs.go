@@ -12,9 +12,10 @@
 // Determinism. Observability output is part of an execution's artifact:
 // two runs from the same seed must emit byte-identical event logs and
 // metric expositions at any sweep worker count. The package therefore
-// never iterates maps (enforced by dynlint's obsdeterminism rule),
-// timestamps nothing with the wall clock (rounds are the only clock),
-// and exports registries in sorted name order.
+// never iterates maps, timestamps nothing with the wall clock (rounds are
+// the only clock; both enforced by dynlint's determinism rule, whose
+// policy makes internal/obs a strict row), and exports registries in
+// sorted name order.
 //
 // The event vocabulary follows the paper's own progress measures: rounds
 // and per-round sender/bit counts (the CONGEST accounting of Section 2),

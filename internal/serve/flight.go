@@ -16,7 +16,7 @@ import (
 // Clocks: job lifecycle spans ("queue_wait", "submit" -> execution start;
 // "execute", start -> terminal status) sit on a milliseconds-since-server-
 // start clock, the one layer of the repo allowed to read wall time (under
-// the servedeterminism lint-allow framework). When Config.CaptureSweepSpans
+// //lint:allow determinism annotations). When Config.CaptureSweepSpans
 // is set, the recorder is also the job's harness.Sweep.Spans sink, so the
 // sweep-cell spans (Track 1, cell-index clock) land in it as well and one
 // Perfetto load shows queue-wait -> execution -> per-cell activity on
@@ -81,7 +81,7 @@ func (f *flightRecorder) snapshot() (events []obs.Event, dropped int, metrics []
 // server start. Wall time here is presentation only — it never feeds back
 // into experiment code, whose own clocks stay deterministic.
 func (s *Server) nowMs() int32 {
-	return int32(time.Since(s.start).Milliseconds()) //lint:allow servedeterminism flight-recorder timeline, never observed by experiment code
+	return int32(time.Since(s.start).Milliseconds()) //lint:allow determinism flight-recorder timeline, never observed by experiment code
 }
 
 // recordQueued opens the queue_wait span for a freshly enqueued entry.

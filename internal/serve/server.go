@@ -155,7 +155,7 @@ func New(cfg Config) *Server {
 		queue: make(chan *entry, cfg.QueueCap),
 		quit:  make(chan struct{}),
 		drain: make(chan struct{}),
-		start: time.Now(), //lint:allow servedeterminism flight-recorder clock anchor, never observed by experiment code
+		start: time.Now(), //lint:allow determinism flight-recorder clock anchor, never observed by experiment code
 	}
 	if s.exec == nil {
 		s.exec = run
@@ -346,7 +346,7 @@ func (s *Server) runJob(e *entry) {
 	s.mu.Unlock()
 	s.m.executions.Add(1)
 	s.recordRunning(e)
-	start := time.Now() //lint:allow servedeterminism job latency metric, never observed by experiment code
+	start := time.Now() //lint:allow determinism job latency metric, never observed by experiment code
 	// A job runs its sweep cells one at a time: the worker pool is the
 	// server's parallelism, and it already runs jobs side by side.
 	sw := harness.Sweep{Workers: 1, Budget: s.cfg.RoundBudget}
@@ -354,7 +354,7 @@ func (s *Server) runJob(e *entry) {
 		sw.Spans = e.flight
 	}
 	body, err := s.execGuarded(sw, e.kind, e.params)
-	s.m.lat.observe(time.Since(start).Milliseconds()) //lint:allow servedeterminism job latency metric, never observed by experiment code
+	s.m.lat.observe(time.Since(start).Milliseconds()) //lint:allow determinism job latency metric, never observed by experiment code
 	s.mu.Lock()
 	if err != nil {
 		e.status = StatusFailed

@@ -549,7 +549,7 @@ func (co *coordinator) writeTo(v int, f *Frame) bool {
 	if !l.connected {
 		return false
 	}
-	l.conn.SetWriteDeadline(time.Now().Add(co.cfg.RoundTimeout)) //lint:allow wiredeterminism deadline arming is the sanctioned wall-clock use
+	l.conn.SetWriteDeadline(time.Now().Add(co.cfg.RoundTimeout)) //lint:allow determinism deadline arming is the sanctioned wall-clock use
 	if err := WriteFrame(l.conn, f); err != nil {
 		co.markDead(v)
 		return false
@@ -615,7 +615,7 @@ func (co *coordinator) acceptLoop() {
 
 // handshake reads the HELLO that opens every node connection.
 func (co *coordinator) handshake(c net.Conn) {
-	c.SetReadDeadline(time.Now().Add(co.cfg.RoundTimeout * time.Duration(co.cfg.MaxRetries+1))) //lint:allow wiredeterminism deadline arming is the sanctioned wall-clock use
+	c.SetReadDeadline(time.Now().Add(co.cfg.RoundTimeout * time.Duration(co.cfg.MaxRetries+1))) //lint:allow determinism deadline arming is the sanctioned wall-clock use
 	f, err := ReadFrame(c)
 	if err != nil || f.Type != FrameHello {
 		c.Close()

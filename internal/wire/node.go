@@ -123,7 +123,7 @@ func (ns *nodeState) session(conn net.Conn) (done, progressed bool, err error) {
 		return false, false, nil
 	}
 	for {
-		conn.SetReadDeadline(time.Now().Add(ns.cfg.IdleTimeout)) //lint:allow wiredeterminism deadline arming is the sanctioned wall-clock use
+		conn.SetReadDeadline(time.Now().Add(ns.cfg.IdleTimeout)) //lint:allow determinism deadline arming is the sanctioned wall-clock use
 		f, rerr := ReadFrame(conn)
 		if rerr != nil {
 			if errors.Is(rerr, ErrCRC) {

@@ -79,8 +79,8 @@ type RunSpec struct {
 }
 
 // protoDef is one protocol registry entry. The registry is a slice, not
-// a map: the frame path iterates it, and map iteration order is banned
-// on that path (wiredeterminism).
+// a map: the frame path iterates it, and map iteration is banned on that
+// path (dynlint's determinism rule; internal/wire is a strict row).
 type protoDef struct {
 	name  string
 	build func() dynet.Protocol
