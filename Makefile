@@ -1,9 +1,8 @@
 GO ?= go
 FUZZTIME ?= 10s
-BENCHOUT ?=
 FUZZPKGS ?= ./internal/dynet ./internal/faults ./internal/advsearch ./internal/bitio ./internal/rng ./internal/adversaries
 
-.PHONY: build test race stress lint fuzz bench benchtest chaos ci
+.PHONY: build test race stress lint fuzz benchgate benchtest examples chaos ci
 
 build:
 	$(GO) build ./...
@@ -30,10 +29,20 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/dynlint ./...
 
-# Regenerate the tracked benchmark baseline (BENCH_<date>.json). Set
-# BENCHOUT to override the output path, e.g. `make bench BENCHOUT=/tmp/b.json`.
-bench:
-	$(GO) run ./cmd/bench $(if $(BENCHOUT),-out $(BENCHOUT))
+# The layer benchmark gate. The parent commit (HEAD^1) is extracted into a
+# temp dir, and both it and this tree run the gated benchmarks three times
+# on this host; cmd/bench then fails if any median ns/op or rounds/s
+# regressed by more than 100%. Shared runners are noisy, so the bound
+# catches cliffs only; run cmd/bench on the two outputs at -max-regress 20
+# for a tight local check. Both outputs stay in bench-base.txt and
+# bench-head.txt.
+benchgate:
+	@set -e; base=$$(mktemp -d); trap 'rm -rf "$$base"' EXIT; \
+	git archive HEAD^1 | tar -x -C "$$base"; \
+	bench() { $(GO) test -run '^$$' -bench '^Benchmark(Thm6CFloodReduction|Thm8LeaderElect|GapTable|GapTableSweep|EngineRingFlood|EngineHugeN)$$' -benchmem -count 3 . > "$$1" 2>&1 || { cat "$$1"; exit 1; }; cat "$$1"; }; \
+	echo "==> parent $$(git log -1 --format='%h %s' HEAD^1)"; (cd "$$base" && bench "$(CURDIR)/bench-base.txt"); \
+	echo "==> head"; bench bench-head.txt; \
+	$(GO) run ./cmd/bench -max-regress 100 bench-base.txt bench-head.txt
 
 # perfbench is its own module, so the root `go test ./...` never reaches
 # its tests; CI runs them separately, and so does this target.
@@ -50,9 +59,16 @@ fuzz:
 		done; \
 	done
 
+# Every example program must run to completion.
+examples:
+	@for ex in examples/*/; do \
+		echo "==> $$ex"; \
+		$(GO) run ./$$ex > /dev/null || exit 1; \
+	done
+
 # Small deterministic fault grid: degradation tables for both protocols
 # plus the zero-overhead gate against the clean leader baseline.
 chaos:
 	$(GO) run ./cmd/chaos -n 16 -trials 6 -rates 0,0.05,0.3 -dims drop,crash
 
-ci: build lint test benchtest race stress fuzz chaos
+ci: build lint test benchtest race stress fuzz chaos examples

@@ -1,11 +1,16 @@
 // Benchmarks regenerating every figure and theorem-level experiment of the
 // paper (see DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
-// paper-vs-measured shapes). Each benchmark reports the quantity whose
-// *shape* the paper predicts as a custom metric, so
+// paper-vs-measured shapes), plus the engine benchmarks behind the
+// repository's timing claims. Each paper benchmark reports the quantity
+// whose *shape* the paper predicts as a custom metric, so
 //
 //	go test -bench=. -benchmem
 //
-// doubles as the reproduction run.
+// doubles as the reproduction run. `make benchgate` runs the gated subset
+// (Thm6CFloodReduction, Thm8LeaderElect, GapTable, GapTableSweep,
+// EngineRingFlood, EngineHugeN) on the parent commit and on the working
+// tree, three times each, and cmd/bench fails it when a median ns/op or
+// rounds/s regresses past its bound.
 package dyndiam_test
 
 import (
@@ -156,6 +161,19 @@ func BenchmarkGapTable(b *testing.B) {
 	}
 	b.ReportMetric(knownFR/float64(b.N), "known-D-flooding-rounds")
 	b.ReportMetric(unknownFR/float64(b.N), "unknown-D-flooding-rounds")
+}
+
+// BenchmarkGapTableSweep runs the gap table over three sizes in one sweep,
+// whose cells run side by side on every core. The seed is fixed: a handful
+// of (seed, N) cells fail diameter certification by construction (e.g.
+// seed 17 at N=96), and a fixed seed keeps the timed work identical
+// across iterations.
+func BenchmarkGapTableSweep(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := (dyndiam.Sweep{}).GapTable([]int{64, 96, 128}, 4, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // --- E5: estimating N with known D ---
@@ -313,28 +331,120 @@ func BenchmarkAblationTwoStageLocking(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationEngineParallel runs the ring flood on the message path,
-// one goroutine stepping every machine. Its workers=1 name is kept so
-// earlier recorded figures stay comparable.
-func BenchmarkAblationEngineParallel(b *testing.B) {
-	b.Run(benchName("workers", 1), func(b *testing.B) {
-		const n = 1024
-		g := dyndiam.Ring(n)
-		for i := 0; i < b.N; i++ {
-			inputs := make([]int64, n)
-			inputs[0] = 1
-			ms := dyndiam.NewMachines(dyndiam.CFlood{}, n, inputs, uint64(i),
-				map[string]int64{dyndiam.ExtraDiameter: n / 2})
-			eng := &dyndiam.Engine{
-				Machines:   ms,
-				Adv:        dyndiam.StaticAdversary(g),
-				Terminated: dyndiam.NodeDecided(0),
+// --- Engine: the flood fast path, the message path and observation ---
+
+// BenchmarkEngineRingFlood floods a static ring of 1,024 CFLOOD machines
+// four ways. path=fast takes RunFlood's word-packed fast path and path=msg
+// the per-message round loop on the identical workload, so their gap is
+// the fast path's speedup. The observed variants attach a ring event sink
+// and a metrics registry: the gap to their unobserved twin is the observer
+// overhead the "zero when off, bounded when on" contract bounds. The
+// floodfast-runs counter proves each observed iteration took the path its
+// name says, so a silent fallback fails the benchmark.
+func BenchmarkEngineRingFlood(b *testing.B) {
+	const n = 1024
+	g := dyndiam.Ring(n)
+	for _, path := range []struct {
+		name           string
+		fast, observed bool
+	}{
+		{"fast", true, false},
+		{"msg", false, false},
+		{"msg-observed", false, true},
+		{"fast-observed", true, true},
+	} {
+		b.Run("path="+path.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var (
+				sink   *dyndiam.ObsRing
+				reg    *dyndiam.MetricsRegistry
+				rounds int
+				events int64
+			)
+			if path.observed {
+				sink = dyndiam.NewObsRing(1 << 16)
+				reg = dyndiam.NewMetricsRegistry()
 			}
-			if _, err := eng.Run(n); err != nil {
-				b.Fatal(err)
+			for i := 0; i < b.N; i++ {
+				inputs := make([]int64, n)
+				inputs[0] = 1
+				ms := dyndiam.NewMachines(dyndiam.CFlood{}, n, inputs, uint64(i),
+					map[string]int64{dyndiam.ExtraDiameter: n / 2})
+				eng := &dyndiam.Engine{Machines: ms, Adv: dyndiam.StaticAdversary(g)}
+				if path.observed {
+					sink.Reset()
+					eng.Obs, eng.Metrics = sink, reg
+				}
+				var res *dyndiam.Result
+				var err error
+				if path.fast {
+					res, err = eng.RunFlood(2*n, dyndiam.FloodStopNode(0))
+				} else {
+					eng.Terminated = dyndiam.NodeDecided(0)
+					res, err = eng.Run(2 * n)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Done {
+					b.Fatal("flood did not confirm")
+				}
+				rounds += res.Rounds
+				if path.observed {
+					events += int64(sink.Len()) + int64(sink.Dropped())
+				}
+			}
+			if path.observed {
+				want := int64(0)
+				if path.fast {
+					want = int64(b.N)
+				}
+				for _, p := range reg.Snapshot() {
+					if p.Name == "engine_floodfast_runs_total" && p.Value != want {
+						b.Fatalf("fast path ran %d of %d iterations, want %d", p.Value, b.N, want)
+					}
+				}
+				b.ReportMetric(float64(events)/float64(b.N), "events/op")
+			}
+			b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+		})
+	}
+}
+
+// BenchmarkEngineHugeN floods a 100,000-node delta-encoded churn network on
+// the fast path: a persistent random spanning tree plus n/8 slot edges,
+// n/64 of which rewire every round as an edge-op script against one
+// mutable CSR snapshot. The tree's O(log N) diameter makes D=256 a safe
+// known bound, so each run is 256 rounds, timed with machine and adversary
+// construction included.
+func BenchmarkEngineHugeN(b *testing.B) {
+	b.ReportAllocs()
+	const n, d = 100_000, 256
+	rounds := 0
+	for i := 0; i < b.N; i++ {
+		inputs := make([]int64, n)
+		inputs[0] = 1
+		ms := dyndiam.NewMachines(dyndiam.CFlood{}, n, inputs, uint64(i),
+			map[string]int64{dyndiam.ExtraDiameter: d})
+		eng := &dyndiam.Engine{
+			Machines: ms,
+			Adv:      dyndiam.DeltaChurnAdversary(n, n/8, n/64, uint64(i)),
+		}
+		res, err := eng.RunFlood(2*d, dyndiam.FloodStopNode(0))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Done {
+			b.Fatal("flood did not confirm")
+		}
+		for _, m := range ms {
+			if !dyndiam.Informed(m) {
+				b.Fatal("confirmed before everyone was informed")
 			}
 		}
-	})
+		rounds += res.Rounds
+	}
+	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
 }
 
 func benchName(key string, v int64) string {

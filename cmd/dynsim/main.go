@@ -25,6 +25,7 @@ import (
 	"os"
 
 	"dyndiam"
+	"dyndiam/internal/cliutil"
 )
 
 func main() {
@@ -171,7 +172,7 @@ func main() {
 
 	if ring != nil {
 		if *obsOut != "" {
-			if err := writeFile(*obsOut, func(f *os.File) error {
+			if err := cliutil.WriteWith(*obsOut, func(f *os.File) error {
 				return dyndiam.WriteEventsJSONL(f, ring.Events())
 			}); err != nil {
 				log.Fatal(err)
@@ -179,7 +180,7 @@ func main() {
 			fmt.Printf("events        %s (%d events, %d dropped)\n", *obsOut, ring.Len(), ring.Dropped())
 		}
 		if *obsTraceOut != "" {
-			if err := writeFile(*obsTraceOut, func(f *os.File) error {
+			if err := cliutil.WriteWith(*obsTraceOut, func(f *os.File) error {
 				return dyndiam.WriteChromeTrace(f, ring.Events())
 			}); err != nil {
 				log.Fatal(err)
@@ -188,7 +189,7 @@ func main() {
 		}
 	}
 	if reg != nil {
-		if err := writeFile(*metricsOut, func(f *os.File) error {
+		if err := cliutil.WriteWith(*metricsOut, func(f *os.File) error {
 			return dyndiam.WriteMetricsText(f, reg)
 		}); err != nil {
 			log.Fatal(err)
@@ -289,20 +290,6 @@ func buildAdversary(name string, n, d int, seed uint64) (dyndiam.Adversary, erro
 		return dyndiam.DeltaChurnAdversary(n, extra, rewires, seed), nil
 	}
 	return nil, fmt.Errorf("unknown adversary %q", name)
-}
-
-// writeFile creates path, runs fn on it, and closes it, reporting the
-// first error.
-func writeFile(path string, fn func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // analyzeTrace loads a recorded execution and reports its aggregate

@@ -5,14 +5,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"strconv"
-	"strings"
 
 	"dyndiam"
+	"dyndiam/internal/cliutil"
 )
 
 func main() {
@@ -28,7 +28,10 @@ func main() {
 	)
 	flag.Parse()
 
-	ns, err := parseSizes(*sizes)
+	ns, err := cliutil.ParseInts(*sizes)
+	if err == nil && len(ns) == 0 {
+		err = errors.New("-sizes: need at least one size")
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,16 +57,4 @@ func main() {
 		}
 		dyndiam.FormatConsensusGapTbl(crows).Fprint(os.Stdout)
 	}
-}
-
-func parseSizes(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad size %q: %v", part, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

@@ -9,14 +9,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"strconv"
-	"strings"
 
 	"dyndiam"
+	"dyndiam/internal/cliutil"
 )
 
 func main() {
@@ -38,7 +38,10 @@ func main() {
 	)
 	flag.Parse()
 
-	ns, err := parseSizes(*sizes)
+	ns, err := cliutil.ParseInts(*sizes)
+	if err == nil && len(ns) == 0 {
+		err = errors.New("-sizes: need at least one size")
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -103,7 +106,7 @@ func observedRun(n, targetDiam int, factor float64, cmil int64, seed uint64, ski
 	fmt.Printf("N=%d: %d rounds, %d messages, %d events captured (%d dropped)\n",
 		n, res.Rounds, res.Messages, len(events), ring.Dropped())
 	if obsOut != "" {
-		if err := writeWith(obsOut, func(f *os.File) error {
+		if err := cliutil.WriteWith(obsOut, func(f *os.File) error {
 			return dyndiam.WriteEventsJSONL(f, events)
 		}); err != nil {
 			return err
@@ -111,7 +114,7 @@ func observedRun(n, targetDiam int, factor float64, cmil int64, seed uint64, ski
 		fmt.Printf("wrote %s\n", obsOut)
 	}
 	if trcOut != "" {
-		if err := writeWith(trcOut, func(f *os.File) error {
+		if err := cliutil.WriteWith(trcOut, func(f *os.File) error {
 			return dyndiam.WriteChromeTrace(f, events)
 		}); err != nil {
 			return err
@@ -119,28 +122,4 @@ func observedRun(n, targetDiam int, factor float64, cmil int64, seed uint64, ski
 		fmt.Printf("wrote %s (load at ui.perfetto.dev)\n", trcOut)
 	}
 	return nil
-}
-
-func writeWith(path string, fn func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func parseSizes(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad size %q: %v", part, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"dyndiam"
+	"dyndiam/internal/cliutil"
 )
 
 func main() {
@@ -47,7 +48,7 @@ func main() {
 	fmt.Print(summarize(events))
 
 	if *mergedOut != "" {
-		if err := writeWith(*mergedOut, func(f *os.File) error {
+		if err := cliutil.WriteWith(*mergedOut, func(f *os.File) error {
 			return dyndiam.WriteEventsJSONL(f, events)
 		}); err != nil {
 			log.Fatal(err)
@@ -55,7 +56,7 @@ func main() {
 		fmt.Printf("wrote %s\n", *mergedOut)
 	}
 	if *trcOut != "" {
-		if err := writeWith(*trcOut, func(f *os.File) error {
+		if err := cliutil.WriteWith(*trcOut, func(f *os.File) error {
 			return dyndiam.WriteChromeTrace(f, events)
 		}); err != nil {
 			log.Fatal(err)
@@ -251,16 +252,4 @@ type spanStat struct {
 type phaseStat struct {
 	count       int
 	first, last int32
-}
-
-func writeWith(path string, fn func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

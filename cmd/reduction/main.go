@@ -14,14 +14,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"strconv"
-	"strings"
 
 	"dyndiam"
+	"dyndiam/internal/cliutil"
 )
 
 func main() {
@@ -179,7 +179,7 @@ func observedReduction(q, n int, seed uint64, trcOut, obsOut string) error {
 	fmt.Printf("q=%d N=%d: %d rounds, %d+%d forwarded bits, %d events captured (%d dropped)\n",
 		q, net.N, res.Rounds, res.BitsAliceToBob, res.BitsBobToAlice, len(events), ring.Dropped())
 	if obsOut != "" {
-		if err := writeWith(obsOut, func(f *os.File) error {
+		if err := cliutil.WriteWith(obsOut, func(f *os.File) error {
 			return dyndiam.WriteEventsJSONL(f, events)
 		}); err != nil {
 			return err
@@ -187,7 +187,7 @@ func observedReduction(q, n int, seed uint64, trcOut, obsOut string) error {
 		fmt.Printf("wrote %s\n", obsOut)
 	}
 	if trcOut != "" {
-		if err := writeWith(trcOut, func(f *os.File) error {
+		if err := cliutil.WriteWith(trcOut, func(f *os.File) error {
 			return dyndiam.WriteChromeTrace(f, events)
 		}); err != nil {
 			return err
@@ -197,29 +197,18 @@ func observedReduction(q, n int, seed uint64, trcOut, obsOut string) error {
 	return nil
 }
 
-func writeWith(path string, fn func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 func parseQs(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad q %q: %v", part, err)
-		}
-		if v < 3 || v%2 == 0 {
-			return nil, fmt.Errorf("q must be odd and >= 3, got %d", v)
-		}
-		out = append(out, v)
+	qs, err := cliutil.ParseInts(s)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	if len(qs) == 0 {
+		return nil, errors.New("-q: need at least one q")
+	}
+	for _, q := range qs {
+		if q < 3 || q%2 == 0 {
+			return nil, fmt.Errorf("q must be odd and >= 3, got %d", q)
+		}
+	}
+	return qs, nil
 }

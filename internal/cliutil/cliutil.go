@@ -1,6 +1,7 @@
 // Package cliutil holds the small flag-plumbing helpers the cmd/
 // binaries share: comma-separated list parsing (cmd/chaos rates and
-// dims, cmd/dynserve sizes) and atomic JSON state files (the
+// dims, cmd/dynserve, cmd/gaptable and cmd/leaderelect sizes,
+// cmd/reduction qs), output files (WriteWith) and atomic JSON state files (the
 // checkpoint/resume plumbing of cmd/chaos, cmd/report, and
 // cmd/dynserve). Every writer goes through WriteFileAtomic so an
 // interrupted run never leaves a truncated checkpoint behind.
@@ -52,6 +53,21 @@ func ParseInts(s string) ([]int, error) {
 		out = append(out, v)
 	}
 	return out, nil
+}
+
+// WriteWith creates path, runs fn on it and closes it, returning the
+// first error: the output-file writer of cmd/dynsim, cmd/leaderelect,
+// cmd/obsview and cmd/reduction.
+func WriteWith(path string, fn func(*os.File) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := fn(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // WriteFileAtomic writes data to path via a same-directory temp file and

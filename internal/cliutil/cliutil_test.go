@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -94,6 +95,27 @@ func TestWriteFileAtomic(t *testing.T) {
 	// No temp file is left behind after a successful write.
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Errorf("temp file left behind (stat err = %v)", err)
+	}
+}
+
+func TestWriteWith(t *testing.T) {
+	t.Parallel()
+	path := filepath.Join(t.TempDir(), "out.txt")
+	if err := WriteWith(path, func(f *os.File) error {
+		_, err := f.WriteString("body")
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != "body" {
+		t.Errorf("content = %q (err %v), want %q", data, err, "body")
+	}
+	want := errors.New("writer failed")
+	if err := WriteWith(path, func(*os.File) error { return want }); !errors.Is(err, want) {
+		t.Errorf("err = %v, want the writer's error", err)
+	}
+	if err := WriteWith(filepath.Join(path, "not-a-dir"), func(*os.File) error { return nil }); err == nil {
+		t.Error("created a file under a regular file")
 	}
 }
 
