@@ -1,6 +1,6 @@
 GO ?= go
 FUZZTIME ?= 10s
-FUZZPKGS ?= ./internal/dynet ./internal/faults ./internal/advsearch ./internal/bitio ./internal/rng ./internal/adversaries
+FUZZPKGS ?= ./internal/dynet ./internal/faults ./internal/advsearch ./internal/bitio ./internal/rng ./internal/adversaries ./internal/bitkernel
 
 .PHONY: build test race stress lint fuzz benchgate benchtest examples chaos ci
 
@@ -39,7 +39,7 @@ lint:
 benchgate:
 	@set -e; base=$$(mktemp -d); trap 'rm -rf "$$base"' EXIT; \
 	git archive HEAD^1 | tar -x -C "$$base"; \
-	bench() { $(GO) test -run '^$$' -bench '^Benchmark(Thm6CFloodReduction|Thm8LeaderElect|GapTable|GapTableSweep|EngineRingFlood|EngineHugeN)$$' -benchmem -count 3 . > "$$1" 2>&1 || { cat "$$1"; exit 1; }; cat "$$1"; }; \
+	bench() { $(GO) test -run '^$$' -bench '^Benchmark(Thm6CFloodReduction|Thm8LeaderElect|GapTable|GapTableSweep|MeasureDynamicDiameter|EngineRingFlood|EngineHugeN)$$' -benchmem -count 3 . > "$$1" 2>&1 || { cat "$$1"; exit 1; }; cat "$$1"; }; \
 	echo "==> parent $$(git log -1 --format='%h %s' HEAD^1)"; (cd "$$base" && bench "$(CURDIR)/bench-base.txt"); \
 	echo "==> head"; bench bench-head.txt; \
 	$(GO) run ./cmd/bench -max-regress 100 bench-base.txt bench-head.txt

@@ -8,9 +8,9 @@
 //
 // doubles as the reproduction run. `make benchgate` runs the gated subset
 // (Thm6CFloodReduction, Thm8LeaderElect, GapTable, GapTableSweep,
-// EngineRingFlood, EngineHugeN) on the parent commit and on the working
-// tree, three times each, and cmd/bench fails it when a median ns/op or
-// rounds/s regresses past its bound.
+// MeasureDynamicDiameter, EngineRingFlood, EngineHugeN) on the parent
+// commit and on the working tree, three times each, and cmd/bench fails
+// it when a median ns/op or rounds/s regresses past its bound.
 package dyndiam_test
 
 import (
@@ -173,6 +173,41 @@ func BenchmarkGapTableSweep(b *testing.B) {
 		if _, err := (dyndiam.Sweep{}).GapTable([]int{64, 96, 128}, 4, 1); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkMeasureDynamicDiameter certifies D the way every sweep cell,
+// served gap_table job and perfbench seed does: a bounded-diameter family
+// (n/2 extra edges, target diameter 4) streamed for 6·4+60 rounds into the
+// causal-closure tracker. The seed is the first that certifies at each n,
+// found before the timer starts; every iteration checks that the same
+// exact D comes back.
+func BenchmarkMeasureDynamicDiameter(b *testing.B) {
+	const targetDiam, horizon = 4, 6*4 + 60
+	for _, n := range []int{48, 256, 1024} {
+		b.Run(benchName("n", int64(n)), func(b *testing.B) {
+			measure := func(seed uint64) (int, error) {
+				return dyndiam.MeasureDynamicDiameter(dyndiam.BoundedDiameterAdversary(n, targetDiam, n/2, seed), n, horizon)
+			}
+			seed := uint64(1)
+			want, err := measure(seed)
+			for err != nil {
+				seed++
+				want, err = measure(seed)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d, err := measure(seed)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if d != want {
+					b.Fatalf("seed %d: D=%d, want %d", seed, d, want)
+				}
+			}
+			b.ReportMetric(float64(want), "D")
+		})
 	}
 }
 

@@ -59,3 +59,27 @@ func TestClosureStepNoAllocs(t *testing.T) {
 		t.Fatalf("Closure.Step allocates %v times per step, want 0", allocs)
 	}
 }
+
+// TestDiameterTrackerSteadyStateAllocs pins that once its ring is as wide
+// as the open window gets, DiameterTracker.Advance allocates nothing per
+// round: the only growth left is the amortized append to Spreads, which
+// averages to zero over the runs.
+func TestDiameterTrackerSteadyStateAllocs(t *testing.T) {
+	n := 96
+	graphs := randomTrace(n, 16, n/2, 11)
+	tr := NewDiameterTracker(n)
+	for r := 0; r < 20*len(graphs); r++ { // warm the ring
+		tr.Advance(graphs[r%len(graphs)])
+	}
+	r := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		tr.Advance(graphs[r%len(graphs)])
+		r++
+	})
+	if allocs != 0 {
+		t.Fatalf("DiameterTracker.Advance allocates %v times per round, want 0", allocs)
+	}
+	if _, exact := tr.Result(); !exact {
+		t.Fatal("warm trace did not certify its diameter")
+	}
+}

@@ -83,6 +83,22 @@ func (b Bits) Or(o Bits) {
 	}
 }
 
+// OrOf sets b = x | y word-wise (equal lengths): a copy and an Or in one
+// pass over b.
+func (b Bits) OrOf(x, y Bits) {
+	x, y = x[:len(b)], y[:len(b)]
+	i := 0
+	for ; i+4 <= len(b); i += 4 {
+		b[i] = x[i] | y[i]
+		b[i+1] = x[i+1] | y[i+1]
+		b[i+2] = x[i+2] | y[i+2]
+		b[i+3] = x[i+3] | y[i+3]
+	}
+	for ; i < len(b); i++ {
+		b[i] = x[i] | y[i]
+	}
+}
+
 // And sets b &= o word-wise.
 func (b Bits) And(o Bits) {
 	i := 0

@@ -98,6 +98,24 @@ func TestBitsOpsMatchReference(t *testing.T) {
 	}
 }
 
+// TestBitsOrOfMatchesCopyThenOr: the one-pass OrOf writes the same bits
+// as a copy followed by an Or, and overwrites whatever the target held.
+func TestBitsOrOfMatchesCopyThenOr(t *testing.T) {
+	src := rng.New(9)
+	for _, n := range []int{1, 3, 64, 65, 191, 256, 1000} {
+		a, _ := randomPair(n, src)
+		b, _ := randomPair(n, src)
+		want := New(n)
+		want.CopyFrom(a)
+		want.Or(b)
+		got, _ := randomPair(n, src)
+		got.OrOf(a, b)
+		if !got.Equal(want) {
+			t.Fatalf("n=%d: OrOf = %x, want %x", n, got, want)
+		}
+	}
+}
+
 func TestBitsFillAndFullUpTo(t *testing.T) {
 	for _, n := range []int{1, 63, 64, 65, 128, 129, 1000} {
 		b := New(n)

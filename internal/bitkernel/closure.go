@@ -7,9 +7,9 @@ import "dyndiam/internal/graph"
 // round-(r+1) topology or U = V, ⇝ is the transitive closure, and the
 // dynamic diameter is the minimum D such that (U, r) ⇝ (V, r+D) for every
 // r >= 0 and all U, V. A Closure tracks the spread from one start time; a
-// DiameterTracker runs one Closure per start time against a streamed
-// topology sequence, so dynamic-diameter queries no longer re-simulate the
-// whole trace per start time (and no longer require retaining topologies).
+// DiameterTracker steps every open start time of a streamed topology
+// sequence at once, so dynamic-diameter queries neither re-simulate the
+// trace per start time nor retain topologies.
 
 // Closure tracks, for one fixed start time, which sources have causally
 // influenced each node: row v is the set of U with (U, r) ⇝ (v, r+z)
@@ -42,7 +42,7 @@ func NewClosure(n int) *Closure {
 }
 
 // Reset returns the Closure to its start-time state so it can be reused
-// for a new start time (the DiameterTracker pool path).
+// for a new start time.
 func (c *Closure) Reset() {
 	c.cur.Reset()
 	c.nxt.Reset()
@@ -130,63 +130,146 @@ func (c *Closure) Rounds() int { return c.rounds }
 func (c *Closure) Influenced(v int) Bits { return c.cur.Row(v) }
 
 // DiameterTracker computes the dynamic diameter of a streamed topology
-// sequence: Advance once per round, Result at any prefix. It maintains
-// one Closure per still-spreading start time and retires each the round
-// it completes, so memory is bounded by the diameter (times the n²-bit
-// closure rows), not the trace length, and no topology is retained.
+// sequence: Advance once per round, Result at any prefix.
+//
+// All open start times share double-buffered bit matrices. Each open
+// start s owns a slot, and row v holds one n-bit segment per slot, the
+// set of U with (U, s) ⇝ (v, now), so a round walks the adjacency once
+// and ORs whole multi-start rows instead of stepping one Closure per
+// start. The design rests on a nesting fact: C_s(v) ⊇ C_{s+1}(v), because
+// (U, s) → (U, s+1). So start times complete in start order: the open
+// starts are one window, and only the oldest needs testing.
+//
+// The nesting also makes each row's full segments a prefix of the window,
+// which a kernel could skip as Closure skips frozen rows. Rows are ORed
+// whole instead, free slots included: on the bounded-diameter family the
+// skippable prefix is under a third of the segments, and the per-row
+// bookkeeping to skip it cost more than it saved at every n measured
+// (48 to 1024; see CHANGES.md).
+//
+// Slots are grouped into chunks, each a pair of n-row matrices of at most
+// chunkWords words. A completed start's slot goes to the next start; only
+// when none is free does the tracker add one, widening the last chunk or
+// starting a new one. So there is exactly one slot per start open in the
+// widest window seen — two n×n-bit matrices per open start, as one Closure
+// per start would hold — and adding a slot copies at most one chunk.
 type DiameterTracker struct {
-	n       int
-	t       int // rounds advanced; graphs seen are rounds 1..t
-	starts  []int
-	active  []*Closure
-	pool    []*Closure
-	spreads []int // per start time: completed spread, or -1 while open
-	d       int   // max completed spread
+	n, w     int        // nodes; words per n-bit segment
+	c        int        // slots per full chunk
+	slots    int        // slots in all chunks
+	cur, nxt [][]uint64 // per chunk: n rows × its slots × w words
+	free     []int      // slots not held by an open start
+	open     []int      // slots of the open starts, oldest first
+	t        int        // rounds advanced; graphs seen are rounds 1..t
+	spreads  []int      // per start time: completed spread, or -1 while open
+	d        int        // max completed spread
 }
+
+// chunkWords caps one chunk's matrix (1 MiB), so that widening the window
+// never copies more, while small n keep every slot in one chunk and so
+// one OR run per row.
+const chunkWords = 1 << 17
 
 // NewDiameterTracker returns a tracker over n nodes.
 func NewDiameterTracker(n int) *DiameterTracker {
-	return &DiameterTracker{n: n}
+	w := WordsFor(n)
+	return &DiameterTracker{n: n, w: w, c: max(1, chunkWords/max(n*w, 1))}
 }
 
-// Advance feeds the tracker round t+1's topology: it opens the closure
-// for start time t (0-based) and steps every still-open closure. Closure
-// buffers are pooled, so steady state allocates only the bookkeeping
-// slots of newly opened start times.
+// Advance feeds the tracker round t+1's topology: it opens start time t
+// (0-based) and steps every open start by one round. Only a window wider
+// than any before allocates (a slot is added); otherwise Advance
+// allocates nothing beyond the amortized growth of the Spreads slice.
 //
 //lint:hotpath
 //lint:pure
 func (t *DiameterTracker) Advance(g *graph.Graph) {
-	var c *Closure
-	if k := len(t.pool); k > 0 {
-		c = t.pool[k-1]
-		t.pool = t.pool[:k-1]
-		c.Reset()
-	} else {
-		c = NewClosure(t.n) //lint:allow hotpathalloc pool growth only; steady state reuses retired closures
-	}
-	t.starts = append(t.starts, t.t)
-	t.active = append(t.active, c)
-	t.spreads = append(t.spreads, -1)
 	t.t++
-	out := 0
-	for i, c := range t.active {
-		c.Step(g)
-		if c.Complete() {
-			z := c.Rounds()
-			t.spreads[t.starts[i]] = z
-			if z > t.d {
-				t.d = z
-			}
-			t.pool = append(t.pool, c)
-			continue
-		}
-		t.active[out] = c
-		t.starts[out] = t.starts[i]
-		out++
+	if t.n <= 1 {
+		// The single row {0} is already full: every spread is 0.
+		t.spreads = append(t.spreads, 0)
+		return
 	}
-	t.active = t.active[:out]
-	t.starts = t.starts[:out]
+	t.spreads = append(t.spreads, -1)
+	if len(t.free) == 0 {
+		t.addSlot() //lint:allow hotpathalloc a window wider than any before; narrower ones reuse freed slots
+	}
+	slot := t.free[len(t.free)-1]
+	t.free = t.free[:len(t.free)-1]
+	t.open = append(t.open, slot)
+	n := t.n
+	ch, stride, at := t.segment(slot)
+	for v := 0; v < n; v++ {
+		seg := Bits(ch[v*stride+at : v*stride+at+t.w])
+		seg.Zero()
+		seg.Set(v)
+	}
+	for k, cur := range t.cur {
+		nxt, stride := t.nxt[k], len(cur)/n
+		for v := 0; v < n; v++ {
+			// A connected round gives every node a neighbour; a round
+			// that leaves v isolated just copies its row.
+			row, adj := v*stride, g.Adj(v)
+			dst, self := Bits(nxt[row:row+stride]), cur[row:row+stride]
+			if len(adj) == 0 {
+				dst.CopyFrom(self)
+				continue
+			}
+			r := int(adj[0]) * stride
+			dst.OrOf(self, cur[r:r+stride])
+			for _, u := range adj[1:] {
+				r := int(u) * stride
+				dst.Or(cur[r : r+stride])
+			}
+		}
+	}
+	t.cur, t.nxt = t.nxt, t.cur
+	for len(t.open) > 0 && t.oldestComplete() {
+		z := len(t.open) // the oldest open start is t.t-z
+		t.spreads[t.t-z] = z
+		t.d = max(t.d, z)
+		t.free = append(t.free, t.open[0])
+		t.open = t.open[:copy(t.open, t.open[1:])]
+	}
+}
+
+// segment locates slot's segments in cur: chunk ch holds row v's segment
+// at ch[v*stride+at:][:w].
+func (t *DiameterTracker) segment(slot int) (ch []uint64, stride, at int) {
+	ch = t.cur[slot/t.c]
+	return ch, len(ch) / t.n, slot % t.c * t.w
+}
+
+// oldestComplete reports whether the oldest open start's segment is full
+// in every row.
+func (t *DiameterTracker) oldestComplete() bool {
+	ch, stride, at := t.segment(t.open[0])
+	for row := 0; row < len(ch); row += stride {
+		if !Bits(ch[row+at : row+at+t.w]).FullUpTo(t.n) {
+			return false
+		}
+	}
+	return true
+}
+
+// addSlot adds a free slot, widening the last chunk by one slot or
+// starting a new chunk when the last is full. Only cur's rows move: nxt
+// is overwritten before it is read.
+func (t *DiameterTracker) addSlot() {
+	n, w := t.n, t.w
+	k, size := t.slots/t.c, t.slots%t.c+1
+	cur, nxt := make([]uint64, n*size*w), make([]uint64, n*size*w)
+	if size == 1 {
+		t.cur, t.nxt = append(t.cur, cur), append(t.nxt, nxt)
+	} else {
+		old, was := t.cur[k], (size-1)*w
+		for v := 0; v < n; v++ {
+			copy(cur[v*size*w:], old[v*was:(v+1)*was])
+		}
+		t.cur[k], t.nxt[k] = cur, nxt
+	}
+	t.free = append(t.free, t.slots)
+	t.slots++
 }
 
 // Rounds returns how many topologies have been advanced.
@@ -210,15 +293,7 @@ func (t *DiameterTracker) Result() (d int, exact bool) {
 	if t.n <= 1 {
 		return 0, true
 	}
-	d = t.d
-	exact = d > 0
-	for r, z := range t.spreads {
-		if z == -1 && t.t-r >= d {
-			// At least d rounds elapsed after start r and the spread
-			// still did not finish: the true diameter exceeds d.
-			exact = false
-			break
-		}
-	}
-	return d, exact
+	// The oldest open start has had the most rounds: if it is still open
+	// after d rounds, the true diameter exceeds d.
+	return t.d, t.d > 0 && len(t.open) < t.d
 }

@@ -12,9 +12,10 @@ import (
 // relation is purely topological: it ignores send/receive choices, because
 // it captures *potential* causal influence.
 //
-// The closure arithmetic lives in internal/bitkernel (word-packed rows,
-// frozen-full skipping, pooled per-start closures); this file keeps the
-// trace-shaped entry points. Callers that stream topologies instead of
+// The closure arithmetic lives in internal/bitkernel (a word-packed
+// Closure per start time for SpreadFrom, and a DiameterTracker that steps
+// every open start time as one interleaved bit matrix for
+// DynamicDiameter); this file keeps the trace-shaped entry points. Callers that stream topologies instead of
 // holding a full trace can drive a bitkernel.DiameterTracker directly —
 // that is what harness.MeasureDynamicDiameter does.
 

@@ -260,7 +260,7 @@ func (p *Plan) Down(r, v int) bool {
 	}
 	nw := &p.nodes[v]
 	if nw.src == nil {
-		nw.src = p.root.Split('c', uint64(v)) // lazy one-time per-node coin source
+		nw.src = p.root.Split('c', uint64(v)) //lint:allow hotpathalloc one coin source per node, made on its first Down query and kept for the plan's life
 	}
 	for nw.next <= r {
 		up := geometric(nw.src, p.spec.Crash)

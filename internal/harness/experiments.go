@@ -28,8 +28,8 @@ func sweepRoundBounds() []int64 {
 //
 // Topologies are streamed straight into a bitkernel.DiameterTracker — the
 // incremental causal closure — so nothing is cloned or retained: the
-// measurement runs in O(n²/64) space regardless of the horizon, where the
-// old trace-then-recompute route kept every round's graph alive.
+// measurement holds O(n²/64) words per open start time (about D+1 of
+// them), regardless of the horizon.
 func MeasureDynamicDiameter(adv dynet.Adversary, n, horizon int) (int, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("harness: cannot measure diameter over %d nodes", n)

@@ -27,6 +27,14 @@ import (
 // guards the *reuse pattern itself* from regressing three calls deep,
 // which the runtime tests cannot see.
 //
+// A call to a module function that returns the address of one of its
+// locals (rng.Source.Split's `c := ...; return &c`, or a wrapper that
+// returns such a call) is allocation-free while the result stays in the
+// caller's frame, where inlining keeps the local on the stack, and a heap
+// allocation once the caller stores it beyond that frame: in a field, a
+// slice or map element, through a pointer, or in a package variable.
+// Such a store is flagged at the call.
+//
 // A //lint:allow hotpathalloc on a call-site line prunes traversal
 // through that call (e.g. the engine's Machine.Step dispatch: machines
 // and adversaries own their allocation budgets); on an allocation line it
@@ -42,13 +50,91 @@ var HotPathAlloc = &ModuleAnalyzer{
 func runHotPathAlloc(mp *ModulePass) {
 	roots := mp.Graph.Annotated("hotpath")
 	reach := reachFrom(mp, roots)
+	addr := localAddrReturners(mp.Graph)
 	for _, n := range reach.order {
-		checkAllocFree(mp, n, reach)
+		checkAllocFree(mp, n, reach, addr)
 	}
 }
 
-// checkAllocFree scans one reachable function body for allocation sites.
-func checkAllocFree(mp *ModulePass, n *FuncNode, reach *reachResult) {
+// localAddrReturners returns the module functions that return the address
+// of one of their own locals or parameters, directly (`return &c`) or by
+// returning a call to such a function, computed to a fixed point.
+func localAddrReturners(g *CallGraph) map[*FuncNode]bool {
+	out := map[*FuncNode]bool{}
+	for changed := true; changed; {
+		changed = false
+		for _, n := range g.Funcs() {
+			if !out[n] && returnsLocalAddr(g, n, out) {
+				out[n] = true
+				changed = true
+			}
+		}
+	}
+	return out
+}
+
+// returnsLocalAddr reports whether one of n's return statements (outside
+// function literals) yields &local or a call to a function in known.
+func returnsLocalAddr(g *CallGraph, n *FuncNode, known map[*FuncNode]bool) bool {
+	info := n.Pkg.Info
+	found := false
+	ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
+		switch x := x.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.ReturnStmt:
+			for _, res := range x.Results {
+				switch e := ast.Unparen(res).(type) {
+				case *ast.UnaryExpr:
+					if id, ok := ast.Unparen(e.X).(*ast.Ident); ok && e.Op == token.AND && isLocalVar(info, id, n.Decl) {
+						found = true
+					}
+				case *ast.CallExpr:
+					if c := staticCallee(g, info, e); c != nil && known[c] {
+						found = true
+					}
+				}
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+// isLocalVar reports whether id names a variable declared inside decl
+// (a local or a parameter): its storage is the function's frame.
+func isLocalVar(info *types.Info, id *ast.Ident, decl *ast.FuncDecl) bool {
+	v, ok := info.ObjectOf(id).(*types.Var)
+	return ok && !v.IsField() && v.Pos() >= decl.Pos() && v.Pos() < decl.End()
+}
+
+// staticCallee resolves a call to the module function it always invokes,
+// or nil for builtins, conversions, interface dispatch, function values
+// and functions outside the module.
+func staticCallee(g *CallGraph, info *types.Info, call *ast.CallExpr) *FuncNode {
+	var obj types.Object
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		obj = info.Uses[fun]
+	case *ast.SelectorExpr:
+		if s, ok := info.Selections[fun]; ok {
+			if types.IsInterface(s.Recv()) {
+				return nil
+			}
+			obj = s.Obj()
+		} else {
+			obj = info.Uses[fun.Sel]
+		}
+	}
+	if f, ok := obj.(*types.Func); ok {
+		return g.Nodes[f.Origin()]
+	}
+	return nil
+}
+
+// checkAllocFree scans one reachable function body for allocation sites;
+// addr holds the functions whose result is a local's address.
+func checkAllocFree(mp *ModulePass, n *FuncNode, reach *reachResult, addr map[*FuncNode]bool) {
 	info := n.Pkg.Info
 	scratch := scratchSlices(n)
 	suffix := " [hot path: " + reach.path(n) + "]"
@@ -92,10 +178,18 @@ func checkAllocFree(mp *ModulePass, n *FuncNode, reach *reachResult) {
 				if x.Tok == token.ADD_ASSIGN && len(x.Lhs) == 1 && isStringType(info.TypeOf(x.Lhs[0])) {
 					report(x.Pos(), "string += allocates on the hot path")
 				}
-				if x.Tok == token.ASSIGN {
-					for i := range x.Lhs {
-						if i < len(x.Rhs) && len(x.Lhs) == len(x.Rhs) && boxes(info, info.TypeOf(x.Lhs[i]), x.Rhs[i]) {
+				if x.Tok == token.ASSIGN && len(x.Lhs) == len(x.Rhs) {
+					for i, lhs := range x.Lhs {
+						if boxes(info, info.TypeOf(lhs), x.Rhs[i]) {
 							report(x.Rhs[i].Pos(), "assignment boxes a %s into an interface on the hot path", info.TypeOf(x.Rhs[i]))
+						}
+						call, ok := ast.Unparen(x.Rhs[i]).(*ast.CallExpr)
+						if !ok {
+							continue
+						}
+						if c := staticCallee(mp.Graph, info, call); c != nil && addr[c] && !storesInFrame(info, lhs, n.Decl) {
+							report(call.Pos(), "%s returns the address of a local, and storing it in %s moves it to the heap on the hot path",
+								displayName(c.Obj), types.ExprString(lhs))
 						}
 					}
 				}
@@ -120,6 +214,24 @@ func checkAllocFree(mp *ModulePass, n *FuncNode, reach *reachResult) {
 		})
 	}
 	walk(n.Decl.Body, sig)
+}
+
+// storesInFrame reports whether assigning to lhs keeps the value in the
+// function's own frame: a blank, a local variable, or a field or array
+// element of one reached without a pointer. Anything reached through a
+// pointer, slice or map, and package variables, are beyond the frame.
+func storesInFrame(info *types.Info, lhs ast.Expr, decl *ast.FuncDecl) bool {
+	switch e := ast.Unparen(lhs).(type) {
+	case *ast.Ident:
+		return e.Name == "_" || isLocalVar(info, e, decl)
+	case *ast.SelectorExpr:
+		s, ok := info.Selections[e]
+		return ok && s.Kind() == types.FieldVal && !s.Indirect() && storesInFrame(info, e.X, decl)
+	case *ast.IndexExpr:
+		_, isArray := info.TypeOf(e.X).Underlying().(*types.Array)
+		return isArray && storesInFrame(info, e.X, decl)
+	}
+	return false
 }
 
 // checkCallAlloc handles allocation through call syntax: builtins

@@ -1,8 +1,9 @@
 // Package hot holds the //lint:hotpath roots of the corpus: one root
 // reaching allocations across packages and through interface dispatch,
 // one exercising the intraprocedural allocation catalog, one telling
-// buffer reuse from a zero-capacity reslice, and one showing the
-// documented edge-prune escape.
+// buffer reuse from a zero-capacity reslice, one storing a returned
+// local's address beyond its frame, and one showing the documented
+// edge-prune escape.
 package hot
 
 import (
@@ -84,6 +85,40 @@ type ring struct{ vals []int }
 func (r *ring) Refill(v int) {
 	r.vals = append(r.vals[:0], v)
 	r.vals = append(r.vals[:0:0], v) // want:hotpathalloc
+}
+
+// stream mimics a split random source: child returns the address of a
+// local, which stays on the caller's stack unless the caller stores it
+// beyond its frame.
+type stream struct{ state uint64 }
+
+func (s *stream) child(w uint64) *stream {
+	c := stream{state: s.state ^ w}
+	return &c
+}
+
+// at wraps child and so returns a local's address too.
+func (s *stream) at(w uint64) *stream { return s.child(w + 1) }
+
+// lazy caches child streams.
+type lazy struct {
+	src  *stream
+	srcs [2]*stream
+}
+
+// Child keeps two children in its frame (a local and a field of a local
+// struct) and stores two beyond it, through the receiver pointer.
+//
+//lint:hotpath
+func (l *lazy) Child(root *stream, w uint64) uint64 {
+	local := root.child(w)
+	var frame lazy
+	frame.src = root.at(w)
+	if l.src == nil {
+		l.src = root.child(w) // want:hotpathalloc
+	}
+	l.srcs[0] = root.at(w) // want:hotpathalloc
+	return local.state + frame.src.state + l.src.state + l.srcs[0].state
 }
 
 // Pruned calls an allocating helper through a documented allow: the
