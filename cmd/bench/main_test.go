@@ -56,6 +56,15 @@ BenchmarkThm8LeaderElect-2   	      50	  20000000 ns/op	        18.00 flooding-r
 `,
 			want: map[string]run{"BenchmarkThm8LeaderElect": {30000000, 0}},
 		},
+		{
+			// make benchgate appends one -test.count 1 pass of a test
+			// binary at a time, so each pass repeats the header and PASS.
+			name: "three appended single-count passes of a test binary",
+			out: header + "BenchmarkGapTable-2   \t     100\t   4000000 ns/op\nPASS\n" +
+				header + "BenchmarkGapTable-2   \t     100\t   6000000 ns/op\nPASS\n" +
+				header + "BenchmarkGapTable-2   \t     100\t   5000000 ns/op\nPASS\n",
+			want: map[string]run{"BenchmarkGapTable": {5000000, 0}},
+		},
 	}
 	for _, c := range cases {
 		res := mustParse(t, c.out)

@@ -34,7 +34,8 @@
 //	res, err := eng.Run(1000)
 //
 // The cmd/ binaries (dynsim, gaptable, reduction, leaderelect) and the
-// examples/ programs exercise this API end to end.
+// package Examples, whose printed figures go test checks, exercise this API
+// end to end.
 //
 // Executions can be observed without being perturbed: attach an ObsRing
 // to Engine.Obs (and LeaderElect.Obs / ReductionSetup.Obs) to capture a
@@ -52,18 +53,18 @@
 // bit-identically. A nil plan — and an all-zero spec — costs nothing:
 // the clean path is byte-identical with the layer off.
 // Sweep.LeaderDegradation and Sweep.CFloodDegradation sweep fault rates
-// with Wilson-interval error bars and graceful per-cell failure
-// handling (NonTermination, ErrCellPanic, ErrCellTimeout); cmd/chaos
-// drives the grid. See internal/faults and "Robustness & fault
-// injection" in README.md.
+// with Wilson-interval error bars and graceful per-cell failure handling
+// (a cell that panics, times out or exhausts its round budget is recorded
+// as such); cmd/chaos drives the grid. See internal/faults and
+// "Robustness & fault injection" in README.md.
 //
 // The experiments also run as a service: NewExperimentServer (driven by
 // cmd/dynserve) exposes reliability runs, degradation grids, gap
 // tables, the reduction, and the figures as asynchronous HTTP/JSON
 // jobs. Results are content-addressed — the job key is the hash of the
-// kind and canonical normalized params (CanonicalJobKey), which the
-// experiments' determinism makes sound — so identical submissions
-// singleflight onto one execution, a full queue answers 429 instead of
+// kind and canonical normalized params, which the experiments'
+// determinism makes sound — so identical submissions singleflight onto
+// one execution, a full queue answers 429 instead of
 // blocking, and a checkpointed cache survives restarts byte-identically.
 // See internal/serve and "Serving experiments" in README.md.
 //

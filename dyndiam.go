@@ -35,28 +35,16 @@ type (
 	Machine = dynet.Machine
 	// Protocol builds per-node machines.
 	Protocol = dynet.Protocol
-	// Config is the per-machine construction context.
-	Config = dynet.Config
-	// Message is a wire message with exact bit accounting.
-	Message = dynet.Message
 	// Action is a node's per-round send-or-receive commitment.
 	Action = dynet.Action
 	// Adversary fixes each round's connected topology.
 	Adversary = dynet.Adversary
-	// AdversaryFunc adapts a function to Adversary.
-	AdversaryFunc = dynet.AdversaryFunc
 	// Result summarizes an execution.
 	Result = dynet.Result
 	// Trace records per-round statistics and topologies.
 	Trace = dynet.Trace
 	// Graph is one round's topology.
 	Graph = graph.Graph
-)
-
-// Action values.
-const (
-	Receive = dynet.Receive
-	Send    = dynet.Send
 )
 
 // Budget returns the CONGEST per-message bit budget used for an N-node
@@ -90,32 +78,12 @@ func DynamicDiameter(graphs []*Graph) (d int, exact bool) {
 type (
 	// FloodStop selects a flood run's termination predicate.
 	FloodStop = dynet.FloodStop
-	// FloodSpec is a BitFlooder machine's view of a flood execution.
-	FloodSpec = dynet.FloodSpec
-	// BitFlooder marks machines the word-packed flood fast path can run.
-	BitFlooder = dynet.BitFlooder
-	// EdgeOp is one edge insertion or deletion.
-	EdgeOp = dynet.EdgeOp
-	// EdgeDiff is an ordered edge-op script between consecutive rounds.
-	EdgeDiff = dynet.EdgeDiff
 	// DeltaAdversary describes rounds as edge diffs against a snapshot.
 	DeltaAdversary = dynet.DeltaAdversary
 )
 
-// FloodStopNode stops a flood run once node v can output; FloodStopAll
-// once every node can. Pass the result to Engine.RunFlood.
+// FloodStopNode stops an Engine.RunFlood run once node v can output.
 func FloodStopNode(v int) FloodStop { return dynet.StopNode(v) }
-
-// FloodStopAll stops a flood run once every node can output.
-func FloodStopAll() FloodStop { return dynet.StopAll() }
-
-// DiffGraphs appends to d the ordered edge-op script transforming prev
-// into next.
-func DiffGraphs(prev, next *Graph, d *EdgeDiff) { dynet.DiffGraphs(prev, next, d) }
-
-// DeltaFromAdversary wraps any Adversary as a DeltaAdversary by diffing
-// consecutive materialized topologies.
-func DeltaFromAdversary(adv Adversary) DeltaAdversary { return dynet.DeltaFrom(adv) }
 
 // DeltaChurnAdversary is the churn family as a native DeltaAdversary: a
 // persistent random spanning tree plus extra slot edges, rewires of which
@@ -126,18 +94,13 @@ func DeltaChurnAdversary(n, extra, rewires int, seed uint64) DeltaAdversary {
 
 // --- Graph builders (package graph) ---
 
-// NewGraph returns an empty n-vertex graph.
-func NewGraph(n int) *Graph { return graph.New(n) }
-
-// Line, Ring, Star, Complete, Grid, Hypercube, Barbell build the standard
-// topologies.
-func Line(n int) *Graph             { return graph.Line(n) }
-func Ring(n int) *Graph             { return graph.Ring(n) }
-func Star(n int) *Graph             { return graph.Star(n) }
-func Complete(n int) *Graph         { return graph.Complete(n) }
-func Grid(rows, cols int) *Graph    { return graph.Grid(rows, cols) }
-func Hypercube(dim int) *Graph      { return graph.Hypercube(dim) }
-func Barbell(k, pathLen int) *Graph { return graph.Barbell(k, pathLen) }
+// Line, Ring, Star, Complete, Grid and Hypercube build standard topologies.
+func Line(n int) *Graph          { return graph.Line(n) }
+func Ring(n int) *Graph          { return graph.Ring(n) }
+func Star(n int) *Graph          { return graph.Star(n) }
+func Complete(n int) *Graph      { return graph.Complete(n) }
+func Grid(rows, cols int) *Graph { return graph.Grid(rows, cols) }
+func Hypercube(dim int) *Graph   { return graph.Hypercube(dim) }
 
 // WriteTrace serializes an execution trace (see Engine.Trace); ReadTrace
 // loads one back, returning the trace and node count.
@@ -216,8 +179,6 @@ type (
 const (
 	// ExtraDiameter is the diameter bound given to known-D protocols.
 	ExtraDiameter = "D"
-	// ExtraSource designates the CFLOOD source node.
-	ExtraSource = flood.ExtraSource
 	// ExtraNPrime is the size estimate for Theorem 8 protocols.
 	ExtraNPrime = leader.ExtraNPrime
 	// ExtraCPermille is the N'-accuracy margin c in thousandths.
@@ -291,11 +252,6 @@ func CFloodReductionSetup(net *CFloodNetwork, oracle Protocol, seed uint64, extr
 	return twoparty.FromCFlood(net, oracle, seed, extra)
 }
 
-// ConsensusReductionSetup builds the Theorem 7 Alice/Bob simulation.
-func ConsensusReductionSetup(net *ConsensusNetwork, oracle Protocol, seed uint64, extra map[string]int64) ReductionSetup {
-	return twoparty.FromConsensus(net, oracle, seed, extra)
-}
-
 // RunReduction executes a two-party reduction; with referee set it also
 // cross-checks both parties against the reference execution (Lemma 5).
 func RunReduction(s ReductionSetup, referee bool) (*ReductionResult, error) {
@@ -337,15 +293,7 @@ var (
 	Figure2                = harness.Figure2
 	Figure3                = harness.Figure3
 	MeasureDynamicDiameter = harness.MeasureDynamicDiameter
-	// TrialSeeds derives per-trial seeds from a root seed by rng splitting.
-	TrialSeeds = harness.TrialSeeds
 )
-
-// GraphDOT renders a topology as Graphviz DOT with optional per-node fill
-// colors and labels.
-func GraphDOT(g *Graph, name string, colors, labels map[int]string) string {
-	return export.DOT(g, name, colors, labels)
-}
 
 // CFloodDOT renders round r of the Theorem 6 composition under a party's
 // adversary, with construction roles highlighted (specials, line middles,
@@ -365,9 +313,6 @@ type PhaseBreakdown = harness.PhaseBreakdown
 // structure of Section 7 runs.
 var FormatPhaseBreakdown = harness.FormatPhaseBreakdown
 
-// Reliability is a repeated-seed evaluation summary.
-type Reliability = harness.Reliability
-
 // MobileAdversary models a mobile ad-hoc network: nodes drift through the
 // unit square and connect within the given radius (patched to stay
 // connected, as the model requires).
@@ -375,22 +320,13 @@ func MobileAdversary(n int, radius, speed float64, seed uint64) Adversary {
 	return adversaries.NewMobile(n, radius, speed, seed)
 }
 
-// SpoiledRow tabulates the per-round shrink of the simulable (non-spoiled)
-// region during the two-party reduction.
-type SpoiledRow = harness.SpoiledRow
-
-// SpoiledGrowth and FormatSpoiledTable expose the spoiled-region experiment.
+// SpoiledGrowth tabulates the per-round shrink of the simulable
+// (non-spoiled) region during the two-party reduction; FormatSpoiledTable
+// renders it.
 var (
 	SpoiledGrowth      = harness.SpoiledGrowth
 	FormatSpoiledTable = harness.FormatSpoiledTable
 )
-
-// ConsensusDOT renders round r of the Theorem 7 composition under a
-// party's adversary, highlighting Λ/Υ specials, mounting points, and the
-// party's spoiled region.
-func ConsensusDOT(net *ConsensusNetwork, p Party, r int) string {
-	return export.ConsensusDOT(net, p, r)
-}
 
 // --- Robustness & fault injection (packages faults, harness) ---
 
@@ -400,8 +336,6 @@ type (
 	// FaultSpec configures one fault mix (drop/dup/corrupt/crash/edge-cut
 	// rates plus scheduled outages); the zero Spec injects nothing.
 	FaultSpec = faults.Spec
-	// FaultOutage is one scheduled downtime window.
-	FaultOutage = faults.Outage
 	// FaultPlan is a compiled, seeded fault schedule; assign one to
 	// Engine.Plan to inject it.
 	FaultPlan = faults.Plan
@@ -409,39 +343,23 @@ type (
 	DegradationConfig = harness.DegradationConfig
 	// DegradationRow is one fault Spec's error-rate estimate.
 	DegradationRow = harness.DegradationRow
-	// CellResult records one graceful-sweep cell's outcome.
-	CellResult = harness.CellResult
-	// CellOutcome classifies a cell result (ok/failed/panicked/timed_out).
-	CellOutcome = harness.CellOutcome
-	// NonTermination is the structured round-budget-exhausted error.
-	NonTermination = harness.NonTermination
-	// ErrCellTimeout is the structured wall-clock-budget cell error.
-	ErrCellTimeout = harness.ErrCellTimeout
-	// ErrCellPanic wraps a recovered cell panic.
-	ErrCellPanic = harness.ErrCellPanic
 )
 
-// Cell outcomes and the default harness round budget.
-const (
-	CellOK             = harness.CellOK
-	CellFailed         = harness.CellFailed
-	CellPanicked       = harness.CellPanicked
-	CellTimedOut       = harness.CellTimedOut
-	DefaultRoundBudget = harness.DefaultRoundBudget
-)
+// DefaultRoundBudget is the harness's default per-run round budget.
+const DefaultRoundBudget = harness.DefaultRoundBudget
 
 // NewFaultPlan validates and compiles a FaultSpec.
 func NewFaultPlan(spec FaultSpec) (*FaultPlan, error) { return faults.NewPlan(spec) }
 
-// Degradation-table rendering and per-trial seeds; the degradation
-// sweeps are Sweep.LeaderDegradation and Sweep.CFloodDegradation.
+// ReliabilityTrialSeed and FaultTrialSeed are the seed derivations the
+// reliability and degradation sweeps (Sweep.LeaderDegradation,
+// Sweep.CFloodDegradation) use per trial — exported so any single faulty
+// trial can be replayed in isolation (see EXPERIMENTS.md).
 var (
-	FormatDegradationTable = harness.FormatDegradationTable
-	// ReliabilityTrialSeed and FaultTrialSeed are the seed derivations the
-	// reliability and degradation sweeps use per trial — exported so any
-	// single faulty trial can be replayed in isolation (see EXPERIMENTS.md).
 	ReliabilityTrialSeed = harness.ReliabilityTrialSeed
 	FaultTrialSeed       = harness.FaultTrialSeed
+	// FaultSpecFor builds the Spec of one (dimension, rate) sweep point.
+	FaultSpecFor = harness.FaultSpecFor
 )
 
 // --- Observability (package obs) ---
@@ -452,8 +370,6 @@ var (
 type (
 	// ObsEvent is one fixed-size observation (round, node, kind, args).
 	ObsEvent = obs.Event
-	// ObsKind tags an ObsEvent.
-	ObsKind = obs.Kind
 	// ObsSink receives events; Engine.Obs, LeaderElect.Obs, and
 	// ReductionSetup.Obs all accept one.
 	ObsSink = obs.Sink
@@ -462,8 +378,6 @@ type (
 	// MetricsRegistry collects counters, gauges, and histograms;
 	// Engine.Metrics and ReductionSetup.Metrics accept one.
 	MetricsRegistry = obs.Registry
-	// MetricPoint is one row of a MetricsRegistry snapshot.
-	MetricPoint = obs.MetricPoint
 	// ObsName is an interned event name (the ObsEvent.Name field).
 	ObsName = obs.Key
 )
@@ -475,14 +389,12 @@ func InternObsKey(name string) ObsName { return obs.Intern(name) }
 // Event kinds (see internal/obs for per-kind field layouts).
 const (
 	ObsRoundStart   = obs.KindRoundStart
-	ObsRoundEnd     = obs.KindRoundEnd
 	ObsSend         = obs.KindSend
 	ObsDecide       = obs.KindDecide
 	ObsPhaseEnter   = obs.KindPhaseEnter
 	ObsLockAcquire  = obs.KindLockAcquire
 	ObsLockRollback = obs.KindLockRollback
 	ObsSpoilMark    = obs.KindSpoilMark
-	ObsFault        = obs.KindFault
 	ObsSpanBegin    = obs.KindSpanBegin
 	ObsSpanEnd      = obs.KindSpanEnd
 	ObsFrontier     = obs.KindFrontier
@@ -525,45 +437,14 @@ func WriteMetricsText(w io.Writer, r *MetricsRegistry) error { return obs.WriteM
 // Serving-layer types: see internal/serve for the content-addressing and
 // singleflight contracts.
 type (
-	// ExperimentServer schedules experiment jobs over a content-addressed
-	// result cache behind an HTTP/JSON API (cmd/dynserve hosts one).
-	ExperimentServer = serve.Server
-	// ServeConfig tunes an ExperimentServer (workers, queue bound, job
+	// ServeConfig tunes an experiment server (workers, queue bound, job
 	// budget, backpressure hint, executor override).
 	ServeConfig = serve.Config
-	// ServeKind names one servable experiment kind.
-	ServeKind = serve.Kind
-	// ServeParams is the flat, canonically hashable parameter set.
-	ServeParams = serve.Params
-	// ServeJobView is a job's externally visible snapshot.
-	ServeJobView = serve.JobView
 	// ServeCachedResult is the checkpoint shape of one completed job.
 	ServeCachedResult = serve.CachedResult
 )
 
-// Servable experiment kinds.
-const (
-	ServeLeaderReliability = serve.KindLeaderReliability
-	ServeLeaderDegradation = serve.KindLeaderDegradation
-	ServeCFloodDegradation = serve.KindCFloodDegradation
-	ServeGapTable          = serve.KindGapTable
-	ServeReduction         = serve.KindReduction
-	ServeFigure            = serve.KindFigure
-)
-
-// Serving-layer entry points and the job-shaped harness helpers they
-// build on (shared with cmd/chaos).
-var (
-	// NewExperimentServer builds a server and starts its worker pool.
-	NewExperimentServer = serve.New
-	// ServeKinds lists every servable kind in a stable order.
-	ServeKinds = serve.Kinds
-	// CanonicalJobKey content-addresses one (kind, params) job.
-	CanonicalJobKey = harness.CanonicalJobKey
-	// FaultDims lists the single-dimension fault axes of the degradation
-	// sweeps; FaultSpecFor builds the Spec of one (dimension, rate) point.
-	FaultDims    = harness.FaultDims
-	FaultSpecFor = harness.FaultSpecFor
-	// DegradationRowsJSON converts sweep rows to their canonical JSON shape.
-	DegradationRowsJSON = harness.DegradationRowsJSON
-)
+// NewExperimentServer builds a server that runs experiment jobs over a
+// content-addressed result cache behind an HTTP/JSON API (cmd/dynserve
+// hosts one) and starts its worker pool.
+var NewExperimentServer = serve.New

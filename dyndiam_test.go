@@ -28,29 +28,6 @@ func TestFacadeQuickstart(t *testing.T) {
 	}
 }
 
-func TestFacadeReduction(t *testing.T) {
-	in, err := dyndiam.DisjFromStrings("3110", "2200", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := dyndiam.NewCFloodNetwork(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	setup := dyndiam.CFloodReductionSetup(net, dyndiam.CFlood{}, 9,
-		map[string]int64{dyndiam.ExtraDiameter: 10})
-	res, err := dyndiam.RunReduction(setup, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.LemmaViolations) != 0 {
-		t.Errorf("lemma violations: %v", res.LemmaViolations)
-	}
-	if res.BitsAliceToBob+res.BitsBobToAlice == 0 {
-		t.Error("no bits accounted")
-	}
-}
-
 func TestFacadeDiameterAndGraphs(t *testing.T) {
 	graphs := make([]*dyndiam.Graph, 30)
 	for i := range graphs {

@@ -233,10 +233,3 @@ func (m *Matrix) Row(i int) Bits { return Bits(m.words[i*m.w : (i+1)*m.w]) }
 
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
-
-// Reset zeroes every row.
-func (m *Matrix) Reset() {
-	for i := range m.words {
-		m.words[i] = 0
-	}
-}

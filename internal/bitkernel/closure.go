@@ -37,32 +37,15 @@ func NewClosure(n int) *Closure {
 		full:  make([]bool, n),
 		newly: make([]int32, 0, n),
 	}
-	c.init()
-	return c
-}
-
-// Reset returns the Closure to its start-time state so it can be reused
-// for a new start time.
-func (c *Closure) Reset() {
-	c.cur.Reset()
-	c.nxt.Reset()
-	for v := range c.full {
-		c.full[v] = false
-	}
-	c.fullCount = 0
-	c.rounds = 0
-	c.init()
-}
-
-func (c *Closure) init() {
-	for v := 0; v < c.n; v++ {
+	for v := 0; v < n; v++ {
 		c.cur.Row(v).Set(v)
 	}
-	if c.n == 1 {
+	if n == 1 {
 		// The single row {0} is already the full set.
 		c.full[0] = true
 		c.fullCount = 1
 	}
+	return c
 }
 
 // Step advances the closure by one round using g, the topology of round
@@ -126,7 +109,7 @@ func (c *Closure) Rounds() int { return c.rounds }
 
 // Influenced returns node v's influence row: the set of sources U with
 // (U, start) ⇝ (v, start+Rounds()). The view aliases kernel storage and
-// is invalidated by the next Step or Reset.
+// is invalidated by the next Step.
 func (c *Closure) Influenced(v int) Bits { return c.cur.Row(v) }
 
 // DiameterTracker computes the dynamic diameter of a streamed topology

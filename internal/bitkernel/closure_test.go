@@ -149,28 +149,6 @@ func TestClosureInfluencedRows(t *testing.T) {
 	}
 }
 
-func TestClosureReuseViaReset(t *testing.T) {
-	graphs := randomTrace(20, 8, 2, 99)
-	c := NewClosure(20)
-	var first int
-	for z := 0; z < 8; z++ {
-		c.Step(graphs[z])
-	}
-	first = c.Rounds()
-	firstComplete := c.Complete()
-	c.Reset()
-	for z := 0; z < 8; z++ {
-		c.Step(graphs[z])
-	}
-	if c.Rounds() != first || c.Complete() != firstComplete {
-		t.Fatalf("reused closure diverged: rounds %d vs %d, complete %v vs %v",
-			c.Rounds(), first, c.Complete(), firstComplete)
-	}
-	if want := refSpreadFrom(graphs, 0); firstComplete && first != want {
-		t.Fatalf("closure spread %d, want %d", first, want)
-	}
-}
-
 func TestDiameterTrackerMatchesScratch(t *testing.T) {
 	for _, tc := range []struct{ n, T, extra int }{
 		{1, 4, 0}, {2, 6, 0}, {6, 10, 1}, {16, 14, 2}, {40, 12, 4}, {65, 8, 3},

@@ -157,7 +157,7 @@ func TestScopes(t *testing.T) {
 		{"congestsend", "dyndiam/internal/protocols/leader", true},
 		{"congestsend", "dyndiam/internal/dynet", false},
 		{"panicfree", "dyndiam/internal/graph", true},
-		{"panicfree", "dyndiam/examples/quickstart", false},
+		{"panicfree", "dyndiam/cmd/dynsim", false},
 		{"printclean", "dyndiam/internal/export", true},
 		{"printclean", "dyndiam/cmd/gaptable", false},
 	}

@@ -16,7 +16,7 @@ func isBuiltinObj(obj types.Object) bool {
 }
 
 // PrintClean forbids writing to the process's standard streams from
-// library packages: only cmd/* and examples/* own the terminal. Library
+// library packages: only the cmd/* drivers own the terminal. Library
 // prints interleave nondeterministically across parallel sweep cells,
 // corrupt machine-readable driver output (CSV/DOT exports),
 // and cannot be captured by callers. Libraries return values and errors;
@@ -24,7 +24,7 @@ func isBuiltinObj(obj types.Object) bool {
 var PrintClean = &Analyzer{
 	Name: "printclean",
 	Doc: "forbid fmt.Print*/os.Stdout/os.Stderr and builtin print/println in internal packages; " +
-		"only cmd/* and examples/* may write to the terminal",
+		"only the cmd/* drivers may write to the terminal",
 	Scope: func(path string) bool { return underAny(path, "internal") },
 	Run:   runPrintClean,
 }
