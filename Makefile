@@ -56,10 +56,12 @@ benchgate:
 benchtest:
 	cd perfbench && $(GO) test ./...
 
-# Short smoke run of every native fuzz target in FUZZPKGS.
+# Short smoke run of every native fuzz target in FUZZPKGS. A package that
+# lists no fuzz target fails the run, so a target cannot drop out unseen.
 fuzz:
 	@for pkg in $(FUZZPKGS); do \
-		targets=$$($(GO) test $$pkg -list '^Fuzz' | grep '^Fuzz'); \
+		targets=$$($(GO) test $$pkg -list '^Fuzz' | grep '^Fuzz' || true); \
+		if [ -z "$$targets" ]; then echo "no fuzz targets found in $$pkg"; exit 1; fi; \
 		for target in $$targets; do \
 			echo "==> $$pkg $$target"; \
 			$(GO) test $$pkg -run='^$$' -fuzz="^$$target$$" -fuzztime=$(FUZZTIME) || exit 1; \

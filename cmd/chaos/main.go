@@ -33,11 +33,14 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"dyndiam"
 	"dyndiam/internal/cliutil"
+	"dyndiam/internal/harness"
 )
 
 type options struct {
@@ -113,7 +116,7 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "fault-plan seed root")
 		rates      = flag.String("rates", "0,0.01,0.05,0.2", "comma-separated fault rates (include 0 for the clean anchor)")
 		dims       = flag.String("dims", "drop,dup,corrupt,crash,edgecut", "comma-separated fault dimensions")
-		protocols  = flag.String("protocols", "leader,cflood", "comma-separated protocols (leader, cflood)")
+		protocols  = flag.String("protocols", "leader,cflood", "comma-separated protocols ("+strings.Join(harness.DegradationProblems(), ", ")+")")
 		budget     = flag.Int("budget", 200_000, "round budget per trial before structured non-termination (<1 = harness default)")
 		cellBudget = flag.Duration("cell-budget", 0, "wall-clock budget per trial (0 = unlimited; overruns are machine-dependent)")
 		jsonOut    = flag.String("json", "", "write the JSON report to this file")
@@ -153,9 +156,9 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	for _, p := range opts.protocols {
-		if p != "leader" && p != "cflood" {
-			log.Fatalf("unknown protocol %q (want leader or cflood)", p)
+	for _, p := range append([]string{opts.replayProto}, opts.protocols...) {
+		if !slices.Contains(harness.DegradationProblems(), p) {
+			log.Fatalf("unknown protocol %q (want one of %s)", p, strings.Join(harness.DegradationProblems(), ", "))
 		}
 	}
 
@@ -242,13 +245,7 @@ func runPoint(opts options, pt gridPoint) (jsonRow, error) {
 		Seed: opts.seed, Specs: []dyndiam.FaultSpec{spec},
 		CellBudget: opts.cellBudget,
 	}
-	var rows []dyndiam.DegradationRow
-	switch pt.protocol {
-	case "leader":
-		rows, err = opts.sweep.LeaderDegradation(cfg)
-	case "cflood":
-		rows, err = opts.sweep.CFloodDegradation(cfg)
-	}
+	rows, err := opts.sweep.Degradation(pt.protocol, cfg)
 	if err != nil {
 		return jsonRow{}, fmt.Errorf("%s: %v", pt.key(), err)
 	}
@@ -396,46 +393,20 @@ func gate(opts options, rep report) error {
 }
 
 // runReplay re-runs one trial of one grid point with observability
-// attached, using exactly the seeds the grid used: the protocol and
-// adversary seed from ReliabilityTrialSeed(trial) and the fault-plan seed
-// from FaultTrialSeed(seed, 0, trial).
+// attached. It makes the sweep's own trial run (Sweep.DegradationTrial):
+// the protocol and adversary seed from ReliabilityTrialSeed(trial), the
+// fault-plan seed from FaultTrialSeed(seed, 0, trial), and the trial's
+// termination rule and horizon.
 func runReplay(opts options) error {
 	spec, err := specFor(opts.replayDim, opts.replayRate)
 	if err != nil {
 		return err
 	}
-	var plan *dyndiam.FaultPlan
-	if opts.replayRate != 0 {
-		spec.Seed = dyndiam.FaultTrialSeed(opts.seed, 0, opts.replay)
-		if plan, err = dyndiam.NewFaultPlan(spec); err != nil {
-			return err
-		}
+	cfg := dyndiam.DegradationConfig{
+		N: opts.n, TargetDiam: opts.diam, Seed: opts.seed, Specs: []dyndiam.FaultSpec{spec},
 	}
-	trialSeed := dyndiam.ReliabilityTrialSeed(opts.replay)
-	adv := dyndiam.BoundedDiameterAdversary(opts.n, opts.diam, opts.n/2, trialSeed)
-
-	var proto dyndiam.Protocol
-	inputs := make([]int64, opts.n)
-	horizon := opts.sweep.Budget
-	var terminated func([]dyndiam.Machine) bool
-	switch opts.replayProto {
-	case "leader":
-		proto = dyndiam.LeaderElect{}
-	case "cflood":
-		proto = dyndiam.CFlood{}
-		inputs[0] = 1
-		horizon = 4 * opts.n
-		terminated = dyndiam.NodeDecided(0)
-	default:
-		return fmt.Errorf("unknown replay protocol %q", opts.replayProto)
-	}
-
 	ring := dyndiam.NewObsRing(1 << 20)
 	reg := dyndiam.NewMetricsRegistry()
-	ms := dyndiam.NewMachines(proto, opts.n, inputs, trialSeed, nil)
-	e := &dyndiam.Engine{
-		Machines: ms, Adv: adv, Obs: ring, Metrics: reg, Plan: plan, Terminated: terminated,
-	}
 	// The sweep runs every trial in a guarded cell, so a trial recorded
 	// as "panicked" is one whose protocol panics under these faults —
 	// replaying it must survive the same panic and still export the
@@ -447,7 +418,7 @@ func runReplay(opts options) error {
 				err = fmt.Errorf("trial panicked (recorded as a cell failure in the grid): %v", v)
 			}
 		}()
-		return e.Run(horizon)
+		return opts.sweep.DegradationTrial(opts.replayProto, cfg, 0, opts.replay, ring, reg)
 	}()
 	switch {
 	case err != nil:
@@ -462,15 +433,7 @@ func runReplay(opts options) error {
 		if path == "" {
 			return nil
 		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := write(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
+		return cliutil.WriteWith(path, write)
 	}
 	if err := writeTo(opts.obsOut, func(f *os.File) error {
 		return dyndiam.WriteEventsJSONL(f, ring.Events())

@@ -35,12 +35,15 @@ import (
 	"os"
 	"os/exec"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
+	"dyndiam/internal/adversaries"
 	"dyndiam/internal/dynet"
 	"dyndiam/internal/faults"
 	"dyndiam/internal/obs"
+	"dyndiam/internal/verify"
 	"dyndiam/internal/wire"
 )
 
@@ -53,12 +56,12 @@ func main() {
 		addr = flag.String("addr", "127.0.0.1:0", "coordinator address (listen for coord/launch, dial for node)")
 		id   = flag.Int("id", 0, "node id (role node)")
 
-		proto     = flag.String("proto", "cflood", "protocol: cflood|pflood|leader|consensus")
+		proto     = flag.String("proto", "cflood", "protocol: "+strings.Join(verify.Names(), "|"))
 		n         = flag.Int("n", 8, "number of nodes")
 		seed      = flag.Uint64("seed", 1, "public-coin seed")
 		rounds    = flag.Int("rounds", 4096, "round budget")
-		advName   = flag.String("adv", "ring", "adversary: line|ring|star|complete|random|bounded|rotating")
-		advD      = flag.Int("d", 4, "target diameter for -adv bounded")
+		advName   = flag.String("adv", "ring", "adversary: "+strings.Join(adversaries.Names(), "|"))
+		advD      = flag.Int("d", 4, "target per-round diameter for -adv bounded; interval length for -adv tinterval; rewires per round for -adv deltachurn")
 		dKnown    = flag.Int("D", 0, "known diameter bound handed to the protocol (0 = unknown)")
 		check     = flag.Bool("check-connectivity", false, "verify each round's topology is connected")
 		faultJSON = flag.String("fault", "", `fault spec JSON, e.g. '{"seed":7,"drop":0.1,"corrupt":0.05}'`)

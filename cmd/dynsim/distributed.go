@@ -49,19 +49,7 @@ func runDistributedCLI(proto string, n int, advName string, advD int, seed uint6
 		return false, runErr
 	}
 
-	fmt.Printf("protocol      %s (distributed over %s)\n", proto, ln.Addr())
-	fmt.Printf("nodes         %d\n", n)
-	fmt.Printf("adversary     %s\n", advName)
-	fmt.Printf("terminated    %v (round %d)\n", res.Done, res.Rounds)
-	fmt.Printf("messages      %d\n", res.Messages)
-	fmt.Printf("payload bits  %d\n", res.Bits)
-	decided := 0
-	for _, ok := range res.Decided {
-		if ok {
-			decided++
-		}
-	}
-	fmt.Printf("decided nodes %d/%d\n", decided, n)
+	printResult(fmt.Sprintf("%s (distributed over %s)", proto, ln.Addr()), advName, n, res)
 	for _, p := range transport.Snapshot() {
 		if p.Value != 0 {
 			fmt.Printf("%-13s %d\n", p.Name, p.Value)

@@ -23,9 +23,12 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"dyndiam"
+	"dyndiam/internal/adversaries"
 	"dyndiam/internal/cliutil"
+	"dyndiam/internal/verify"
 )
 
 func main() {
@@ -33,9 +36,9 @@ func main() {
 	log.SetPrefix("dynsim: ")
 
 	var (
-		proto     = flag.String("proto", "cflood", "protocol: cflood|pflood|consensus|vialeader|leader|estimate|sum|max|hearfrom|hearfromexact|majority")
+		proto     = flag.String("proto", "cflood", "protocol: "+strings.Join(verify.Names(), "|"))
 		n         = flag.Int("n", 64, "number of nodes")
-		advName   = flag.String("adv", "random", "adversary: line|ring|star|complete|grid|hypercube|random|bounded|rotating|staller|tinterval|dual|deltachurn")
+		advName   = flag.String("adv", "random", "adversary: "+strings.Join(adversaries.Names(), "|"))
 		d         = flag.Int("d", 4, "target per-round diameter for -adv bounded; interval length for -adv tinterval; rewires per round for -adv deltachurn")
 		dKnown    = flag.Int("D", 0, "known diameter bound handed to the protocol (0 = unknown)")
 		nprime    = flag.Int("nprime", 0, "size estimate N' for leader/vialeader (0 = exact N)")
@@ -45,7 +48,7 @@ func main() {
 		traceOut  = flag.String("trace-out", "", "record the execution trace (with topologies) to this file")
 		traceIn   = flag.String("trace-in", "", "analyze a recorded trace instead of running anything")
 
-		distributed = flag.Bool("distributed", false, "run over internal/wire: coordinator + n node sessions on loopback TCP (cflood|pflood|leader|consensus)")
+		distributed = flag.Bool("distributed", false, "run over internal/wire: coordinator + n node sessions on loopback TCP")
 		floodFast   = flag.Bool("floodfast", false, "run via Engine.RunFlood's word-packed fast path (cflood/pflood only)")
 		obsOut      = flag.String("obs-out", "", "write observed events as JSONL to this file")
 		obsTraceOut = flag.String("obs-trace-out", "", "write observed events as Chrome trace-event JSON to this file")
@@ -61,7 +64,7 @@ func main() {
 		return
 	}
 
-	adv, err := buildAdversary(*advName, *n, *d, *seed)
+	adv, err := adversaries.Named(*advName, *n, *d, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,58 +89,16 @@ func main() {
 		return
 	}
 
-	inputs := make([]int64, *n)
-	var p dyndiam.Protocol
-	term := dyndiam.AllDecided
-	switch *proto {
-	case "cflood":
-		p = dyndiam.CFlood{}
-		inputs[0] = 1
-		term = dyndiam.NodeDecided(0)
-	case "pflood":
-		p = dyndiam.PFlood{}
-		inputs[0] = 1
-		term = dyndiam.NodeDecided(0)
-	case "consensus":
-		p = dyndiam.KnownDConsensus{}
-		for v := range inputs {
-			inputs[v] = int64(v % 2)
-		}
-	case "vialeader":
-		p = dyndiam.ViaLeaderConsensus{}
-		for v := range inputs {
-			inputs[v] = int64(v % 2)
-		}
-	case "leader":
-		p = dyndiam.LeaderElect{}
-	case "estimate":
-		p = dyndiam.EstimateN{}
-	case "sum":
-		p = dyndiam.SumEstimate{}
-		for v := range inputs {
-			inputs[v] = int64(v % 5)
-		}
-	case "hearfromexact":
-		p = dyndiam.HearFromExact{}
-	case "max":
-		p = dyndiam.Max{}
-		for v := range inputs {
-			inputs[v] = int64((v * 7919) % 100003)
-		}
-	case "hearfrom":
-		p = dyndiam.HearFrom{}
-	case "majority":
-		p = dyndiam.MajorityProbe{}
-	default:
-		log.Fatalf("unknown protocol %q", *proto)
+	prob, err := verify.Lookup(*proto)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	ms := dyndiam.NewMachines(p, *n, inputs, *seed, extra)
+	_, ms := prob.Machines(*n, *seed, extra)
 	eng := &dyndiam.Engine{
 		Machines:          ms,
 		Adv:               adv,
 		CheckConnectivity: true,
-		Terminated:        term,
+		Terminated:        prob.Terminated(),
 		ObsRoundStride:    *obsStride,
 	}
 	if *traceOut != "" {
@@ -156,13 +117,13 @@ func main() {
 
 	var res *dyndiam.Result
 	if *floodFast {
-		if *proto != "cflood" && *proto != "pflood" {
-			log.Fatalf("-floodfast requires -proto cflood or pflood, got %q", *proto)
+		if prob.TermNode < 0 {
+			log.Fatalf("-floodfast requires a flood protocol (one whose source's decision ends the run), got %q", *proto)
 		}
 		if *traceOut != "" {
 			log.Fatal("-floodfast is incompatible with -trace-out (a Trace forces the per-message path)")
 		}
-		res, err = eng.RunFlood(*maxRounds, dyndiam.FloodStopNode(0))
+		res, err = eng.RunFlood(*maxRounds, dyndiam.FloodStopNode(prob.TermNode))
 	} else {
 		res, err = eng.Run(*maxRounds)
 	}
@@ -210,9 +171,20 @@ func main() {
 		fmt.Printf("trace         %s (%d rounds)\n", *traceOut, len(eng.Trace.Stats))
 	}
 
-	fmt.Printf("protocol      %s\n", p.Name())
-	fmt.Printf("nodes         %d\n", *n)
-	fmt.Printf("adversary     %s\n", *advName)
+	if printResult(prob.Protocol.Name(), *advName, *n, res) > 0 {
+		fmt.Printf("sample output node0=%d node%d=%d\n", res.Outputs[0], *n-1, res.Outputs[*n-1])
+	}
+	if !res.Done {
+		os.Exit(1)
+	}
+}
+
+// printResult prints the run summary of both execution paths and returns
+// how many nodes decided.
+func printResult(protocol, advName string, n int, res *dyndiam.Result) int {
+	fmt.Printf("protocol      %s\n", protocol)
+	fmt.Printf("nodes         %d\n", n)
+	fmt.Printf("adversary     %s\n", advName)
 	fmt.Printf("terminated    %v (round %d)\n", res.Done, res.Rounds)
 	fmt.Printf("messages      %d\n", res.Messages)
 	fmt.Printf("payload bits  %d\n", res.Bits)
@@ -222,74 +194,8 @@ func main() {
 			decided++
 		}
 	}
-	fmt.Printf("decided nodes %d/%d\n", decided, *n)
-	if decided > 0 {
-		fmt.Printf("sample output node0=%d node%d=%d\n", res.Outputs[0], *n-1, res.Outputs[*n-1])
-	}
-	if !res.Done {
-		os.Exit(1)
-	}
-}
-
-func buildAdversary(name string, n, d int, seed uint64) (dyndiam.Adversary, error) {
-	switch name {
-	case "line":
-		return dyndiam.StaticAdversary(dyndiam.Line(n)), nil
-	case "ring":
-		return dyndiam.StaticAdversary(dyndiam.Ring(n)), nil
-	case "star":
-		return dyndiam.StaticAdversary(dyndiam.Star(n)), nil
-	case "complete":
-		return dyndiam.StaticAdversary(dyndiam.Complete(n)), nil
-	case "grid":
-		side := 1
-		for side*side < n {
-			side++
-		}
-		if side*side != n {
-			return nil, fmt.Errorf("grid adversary needs a square n, got %d", n)
-		}
-		return dyndiam.StaticAdversary(dyndiam.Grid(side, side)), nil
-	case "hypercube":
-		dim := 0
-		for 1<<uint(dim) < n {
-			dim++
-		}
-		if 1<<uint(dim) != n {
-			return nil, fmt.Errorf("hypercube adversary needs a power-of-two n, got %d", n)
-		}
-		return dyndiam.StaticAdversary(dyndiam.Hypercube(dim)), nil
-	case "random":
-		return dyndiam.RandomConnectedAdversary(n, n/2, seed), nil
-	case "bounded":
-		return dyndiam.BoundedDiameterAdversary(n, d, n/2, seed), nil
-	case "rotating":
-		return dyndiam.RotatingStarAdversary(n), nil
-	case "staller":
-		return dyndiam.StallerAdversary(n, 0), nil
-	case "tinterval":
-		return dyndiam.TIntervalAdversary(n, d, n/4, seed), nil
-	case "dual":
-		var chords [][2]int
-		for i := 0; i < n/2; i++ {
-			chords = append(chords, [2]int{i, (i + n/2) % n})
-		}
-		return dyndiam.DualGraphAdversary(dyndiam.Ring(n), chords, 0.5, seed), nil
-	case "deltachurn":
-		// Native delta adversary: spanning tree + n/8 churn slots, d of
-		// which rewire per round as an O(d) edge-op script — the regime
-		// where the fast path's delta ingestion pays off at huge n.
-		extra := n / 8
-		if extra < 1 {
-			extra = 1
-		}
-		rewires := d
-		if rewires > extra {
-			rewires = extra
-		}
-		return dyndiam.DeltaChurnAdversary(n, extra, rewires, seed), nil
-	}
-	return nil, fmt.Errorf("unknown adversary %q", name)
+	fmt.Printf("decided nodes %d/%d\n", decided, n)
+	return decided
 }
 
 // analyzeTrace loads a recorded execution and reports its aggregate

@@ -46,14 +46,14 @@
 // WriteMetricsText, WriteChromeTrace; summarized by cmd/obsview). See
 // internal/obs and "Observability" in README.md.
 //
-// Robustness is measured, not assumed: a FaultPlan (NewFaultPlan, from a
+// Robustness is measured, not assumed: a fault plan (compiled from a
 // FaultSpec of drop/dup/corrupt rates, crash/rejoin schedules, and edge
 // cuts) attaches to Engine.Plan and injects faults as pure functions of
 // (seed, round, node, edge), so every faulty execution replays
 // bit-identically. A nil plan — and an all-zero spec — costs nothing:
 // the clean path is byte-identical with the layer off.
-// Sweep.LeaderDegradation and Sweep.CFloodDegradation sweep fault rates
-// with Wilson-interval error bars and graceful per-cell failure handling
+// Sweep.Degradation sweeps leader election or CFLOOD across fault
+// rates with Wilson-interval error bars and graceful per-cell failure handling
 // (a cell that panics, times out or exhausts its round budget is recorded
 // as such); cmd/chaos drives the grid. See internal/faults and
 // "Robustness & fault injection" in README.md.

@@ -56,9 +56,6 @@ func NewMachines(p Protocol, n int, inputs []int64, seed uint64, extra map[strin
 	return dynet.NewMachines(p, n, inputs, seed, extra)
 }
 
-// AllDecided is the default termination predicate.
-func AllDecided(ms []Machine) bool { return dynet.AllDecided(ms) }
-
 // NodeDecided returns a predicate that holds once node v has output.
 func NodeDecided(v int) func([]Machine) bool { return dynet.NodeDecided(v) }
 
@@ -94,13 +91,10 @@ func DeltaChurnAdversary(n, extra, rewires int, seed uint64) DeltaAdversary {
 
 // --- Graph builders (package graph) ---
 
-// Line, Ring, Star, Complete, Grid and Hypercube build standard topologies.
-func Line(n int) *Graph          { return graph.Line(n) }
-func Ring(n int) *Graph          { return graph.Ring(n) }
-func Star(n int) *Graph          { return graph.Star(n) }
-func Complete(n int) *Graph      { return graph.Complete(n) }
-func Grid(rows, cols int) *Graph { return graph.Grid(rows, cols) }
-func Hypercube(dim int) *Graph   { return graph.Hypercube(dim) }
+// Line, Ring and Star build standard topologies.
+func Line(n int) *Graph { return graph.Line(n) }
+func Ring(n int) *Graph { return graph.Ring(n) }
+func Star(n int) *Graph { return graph.Star(n) }
 
 // WriteTrace serializes an execution trace (see Engine.Trace); ReadTrace
 // loads one back, returning the trace and node count.
@@ -126,10 +120,6 @@ func BoundedDiameterAdversary(n, targetDiam, extraEdges int, seed uint64) Advers
 
 // RotatingStarAdversary has per-round diameter 2 but dynamic diameter n-1.
 func RotatingStarAdversary(n int) Adversary { return adversaries.RotatingStar(n) }
-
-// StallerAdversary is the adaptive adversary that defeats coin-driven
-// flooding but not always-send flooding.
-func StallerAdversary(n, source int) Adversary { return adversaries.NewStaller(n, source) }
 
 // DualGraphAdversary is the dual-graph model [Kuhn et al.]: the reliable
 // graph's edges appear every round; each unreliable edge appears with
@@ -162,14 +152,8 @@ type (
 	LeaderElect = leader.Protocol
 	// EstimateN estimates the network size with known D.
 	EstimateN = counting.EstimateN
-	// MajorityProbe is the standalone one-sided majority counter.
-	MajorityProbe = counting.MajorityProbe
 	// Max computes the maximum input with known D.
 	Max = hearfrom.Max
-	// HearFrom solves HEAR-FROM-N-NODES with known D and N.
-	HearFrom = hearfrom.HearFrom
-	// HearFromExact is the exact causal-bookkeeping HEAR-FROM-N-NODES.
-	HearFromExact = hearfrom.Exact
 	// SumEstimate estimates the sum of node weights with known D (the
 	// separable-function aggregate of Mosk-Aoyama–Shah).
 	SumEstimate = counting.SumEstimate
@@ -267,11 +251,11 @@ type ResultTable = harness.Table
 // count, round budget, metric roll-up registry and span sink — and the
 // sweeps are its methods (GapTable, LeaderSweep, EstimateSweep,
 // MajoritySweep, ConsensusGap, CFloodReduction, ConsensusReduction,
-// ConsensusReductionOracle, LeaderReliability, LeaderPhases,
-// LeaderDegradation, CFloodDegradation). The zero value runs cells on
-// every core (Workers < 1 means GOMAXPROCS; Workers 1 is sequential)
-// under DefaultRoundBudget with no metrics and no spans; tables are
-// identical at every Workers setting.
+// ConsensusReductionOracle, LeaderReliability, LeaderPhases, Degradation,
+// and DegradationTrial, which replays one degradation trial). The zero
+// value runs cells on every core (Workers < 1 means GOMAXPROCS; Workers 1
+// is sequential) under DefaultRoundBudget with no metrics and no spans;
+// tables are identical at every Workers setting.
 type Sweep = harness.Sweep
 
 // Experiment table renderers and the sweep-free entry points; see
@@ -336,31 +320,15 @@ type (
 	// FaultSpec configures one fault mix (drop/dup/corrupt/crash/edge-cut
 	// rates plus scheduled outages); the zero Spec injects nothing.
 	FaultSpec = faults.Spec
-	// FaultPlan is a compiled, seeded fault schedule; assign one to
-	// Engine.Plan to inject it.
-	FaultPlan = faults.Plan
 	// DegradationConfig configures a fault-rate sweep.
 	DegradationConfig = harness.DegradationConfig
-	// DegradationRow is one fault Spec's error-rate estimate.
-	DegradationRow = harness.DegradationRow
 )
 
 // DefaultRoundBudget is the harness's default per-run round budget.
 const DefaultRoundBudget = harness.DefaultRoundBudget
 
-// NewFaultPlan validates and compiles a FaultSpec.
-func NewFaultPlan(spec FaultSpec) (*FaultPlan, error) { return faults.NewPlan(spec) }
-
-// ReliabilityTrialSeed and FaultTrialSeed are the seed derivations the
-// reliability and degradation sweeps (Sweep.LeaderDegradation,
-// Sweep.CFloodDegradation) use per trial — exported so any single faulty
-// trial can be replayed in isolation (see EXPERIMENTS.md).
-var (
-	ReliabilityTrialSeed = harness.ReliabilityTrialSeed
-	FaultTrialSeed       = harness.FaultTrialSeed
-	// FaultSpecFor builds the Spec of one (dimension, rate) sweep point.
-	FaultSpecFor = harness.FaultSpecFor
-)
+// FaultSpecFor builds the Spec of one (dimension, rate) sweep point.
+var FaultSpecFor = harness.FaultSpecFor
 
 // --- Observability (package obs) ---
 

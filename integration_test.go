@@ -8,9 +8,9 @@ import (
 	"dyndiam/internal/verify"
 )
 
-// The integration matrix: every upper-bound protocol on every adversary
-// family, audited with the problem-spec checkers of internal/verify. Each
-// cell uses a diameter bound safe for its family.
+// The integration matrix: every problem of the internal/verify table on
+// every adversary family, posed and audited by its table row. Each cell
+// hands the protocol a diameter bound safe for its family.
 func TestProtocolAdversaryMatrix(t *testing.T) {
 	const n = 18
 
@@ -43,130 +43,57 @@ func TestProtocolAdversaryMatrix(t *testing.T) {
 		}, n / 2},
 	}
 
-	type check func(t *testing.T, inputs []int64, ms []dyndiam.Machine, res *dyndiam.Result)
-
-	protocols := []struct {
-		name   string
-		proto  dyndiam.Protocol
-		inputs func() []int64
-		extra  func(d int) map[string]int64
-		term   func([]dyndiam.Machine) bool
-		rounds int
-		verify check
-	}{
-		{
-			name:  "cflood",
-			proto: dyndiam.CFlood{},
-			inputs: func() []int64 {
-				in := make([]int64, n)
-				in[0] = 1
-				return in
-			},
-			extra:  func(d int) map[string]int64 { return map[string]int64{dyndiam.ExtraDiameter: int64(d)} },
-			term:   dyndiam.NodeDecided(0),
-			rounds: 10 * n,
-			verify: func(t *testing.T, _ []int64, ms []dyndiam.Machine, res *dyndiam.Result) {
-				if err := verify.CFlood(ms, res, 0); err != nil {
-					t.Error(err)
-				}
-			},
-		},
-		{
-			name:  "consensus-known-d",
-			proto: dyndiam.KnownDConsensus{},
-			inputs: func() []int64 {
-				in := make([]int64, n)
-				for v := range in {
-					in[v] = int64(v % 2)
-				}
-				return in
-			},
-			extra:  func(d int) map[string]int64 { return map[string]int64{dyndiam.ExtraDiameter: int64(d)} },
-			rounds: 1000000,
-			verify: func(t *testing.T, inputs []int64, _ []dyndiam.Machine, res *dyndiam.Result) {
-				if err := verify.Consensus(inputs, res); err != nil {
-					t.Error(err)
-				}
-			},
-		},
-		{
-			name:   "leader-elect",
-			proto:  dyndiam.LeaderElect{},
-			inputs: func() []int64 { return make([]int64, n) },
-			extra:  func(int) map[string]int64 { return nil },
-			rounds: 10000000,
-			verify: func(t *testing.T, _ []int64, _ []dyndiam.Machine, res *dyndiam.Result) {
-				if err := verify.Leader(res, n, true); err != nil {
-					t.Error(err)
-				}
-			},
-		},
-		{
-			name:  "max",
-			proto: dyndiam.Max{},
-			inputs: func() []int64 {
-				in := make([]int64, n)
-				for v := range in {
-					in[v] = int64((v * 31) % 97)
-				}
-				return in
-			},
-			extra:  func(d int) map[string]int64 { return map[string]int64{dyndiam.ExtraDiameter: int64(d)} },
-			rounds: 1000000,
-			verify: func(t *testing.T, inputs []int64, _ []dyndiam.Machine, res *dyndiam.Result) {
-				if err := verify.MaxFunction(inputs, res); err != nil {
-					t.Error(err)
-				}
-			},
-		},
-		{
-			name:   "estimate-n",
-			proto:  dyndiam.EstimateN{},
-			inputs: func() []int64 { return make([]int64, n) },
-			extra: func(d int) map[string]int64 {
-				return map[string]int64{dyndiam.ExtraDiameter: int64(d), "K": 96}
-			},
-			rounds: 10000000,
-			verify: func(t *testing.T, _ []int64, _ []dyndiam.Machine, res *dyndiam.Result) {
-				if err := verify.EstimateWithin(res, n, 0.45); err != nil {
-					t.Error(err)
-				}
-			},
-		},
-		{
-			name:   "hear-from-exact",
-			proto:  dyndiam.HearFromExact{},
-			inputs: func() []int64 { return make([]int64, n) },
-			extra:  func(int) map[string]int64 { return nil },
-			rounds: 100000,
-			verify: func(t *testing.T, _ []int64, _ []dyndiam.Machine, res *dyndiam.Result) {
-				if err := verify.Termination(res, nil); err != nil {
-					t.Error(err)
-				}
-			},
-		},
+	// The matrix predates the table: these rows keep their earlier
+	// subtest names.
+	labels := map[string]string{
+		"consensus": "consensus-known-d", "estimate": "estimate-n",
+		"hearfromexact": "hear-from-exact", "leader": "leader-elect",
+	}
+	// Each row's termination bound. Known-D CFLOOD confirms at round
+	// D ≤ n−1 and a PFLOOD source at round 4·D·⌈log₂(n+1)⌉ ≤ 20(n−1); the
+	// other rows share the bound of the protocol family they belong to.
+	limits := map[string]int{
+		"cflood": 10 * n, "pflood": 40 * n,
+		"hearfrom": 100_000, "hearfromexact": 100_000, "majority": 100_000,
+		"consensus": 1_000_000, "max": 1_000_000,
+		"vialeader": 10_000_000, "leader": 10_000_000,
+		"estimate": 10_000_000, "sum": 10_000_000,
 	}
 
 	for _, fam := range families {
-		for _, p := range protocols {
-			t.Run(fmt.Sprintf("%s/%s", p.name, fam.name), func(t *testing.T) {
-				seed := uint64(len(fam.name) + 7*len(p.name))
-				inputs := p.inputs()
-				ms := dyndiam.NewMachines(p.proto, n, inputs, seed, p.extra(fam.d))
+		for _, name := range verify.Names() {
+			prob := verify.MustLookup(name)
+			rounds, ok := limits[name]
+			if !ok {
+				t.Fatalf("no termination bound for %s", name)
+			}
+			label := name
+			if l, ok := labels[name]; ok {
+				label = l
+			}
+			t.Run(fmt.Sprintf("%s/%s", label, fam.name), func(t *testing.T) {
+				seed := uint64(len(fam.name) + 7*len(label))
+				extra := map[string]int64{dyndiam.ExtraDiameter: int64(fam.d)}
+				if name == "estimate" || name == "sum" {
+					extra["K"] = 96 // sketch copies enough for the audit's 45% tolerance
+				}
+				inputs, ms := prob.Machines(n, seed, extra)
 				eng := &dyndiam.Engine{
 					Machines:          ms,
 					Adv:               fam.mk(seed),
 					CheckConnectivity: true,
-					Terminated:        p.term,
+					Terminated:        prob.Terminated(),
 				}
-				res, err := eng.Run(p.rounds)
+				res, err := eng.Run(rounds)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !res.Done {
-					t.Fatalf("%s did not terminate on %s within %d rounds", p.name, fam.name, p.rounds)
+					t.Fatalf("%s did not terminate on %s within %d rounds", name, fam.name, rounds)
 				}
-				p.verify(t, inputs, ms, res)
+				if err := prob.Audit(inputs, ms, res); err != nil {
+					t.Error(err)
+				}
 			})
 		}
 	}

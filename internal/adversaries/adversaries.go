@@ -64,52 +64,6 @@ func RotatingStar(n int) dynet.Adversary {
 	})
 }
 
-// Churn keeps a base random connected graph and rewires a fraction of the
-// extra edges every round, modeling mild topology churn around a stable
-// core (the spanning tree persists, so connectivity is unconditional).
-type Churn struct {
-	n       int
-	base    *graph.Graph // spanning tree that persists
-	extra   [][2]int
-	rewires int
-	src     *rng.Source
-	scratch *graph.Graph // reused round graph; see Adversary contract
-}
-
-// NewChurn builds a churn adversary over n nodes with extra random edges,
-// of which rewires are re-sampled each round.
-func NewChurn(n, extra, rewires int, seed uint64) *Churn {
-	src := rng.New(seed)
-	tree := graph.RandomConnected(n, 0, src.Split('t'))
-	c := &Churn{n: n, base: tree, rewires: rewires, src: src, scratch: graph.New(n)}
-	for i := 0; i < extra; i++ {
-		c.extra = append(c.extra, c.randomEdge())
-	}
-	return c
-}
-
-func (c *Churn) randomEdge() [2]int {
-	for {
-		u, v := c.src.Intn(c.n), c.src.Intn(c.n)
-		if u != v {
-			return [2]int{u, v}
-		}
-	}
-}
-
-// Topology implements dynet.Adversary.
-func (c *Churn) Topology(r int, _ []dynet.Action) *graph.Graph {
-	for i := 0; i < c.rewires && len(c.extra) > 0; i++ {
-		c.extra[c.src.Intn(len(c.extra))] = c.randomEdge()
-	}
-	g := c.scratch
-	g.CopyFrom(c.base)
-	for _, e := range c.extra {
-		g.AddEdge(e[0], e[1])
-	}
-	return g
-}
-
 // Staller is the adaptive adversary that defeats coin-driven flooding: it
 // tracks which nodes hold the token (assuming the protocol marks holders by
 // sending) and, whenever some believed holder is receiving this round,

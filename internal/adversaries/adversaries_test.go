@@ -105,27 +105,6 @@ func TestRotatingStarDynamicDiameter(t *testing.T) {
 	}
 }
 
-func TestChurnKeepsSpanningTree(t *testing.T) {
-	c := NewChurn(25, 15, 3, 4)
-	graphs := collect(t, c, 25, 40)
-	// The tree edges persist; edge sets still change over time.
-	changed := false
-	for r := 1; r < len(graphs); r++ {
-		if graphs[r].M() != graphs[r-1].M() {
-			changed = true
-		} else {
-			for _, e := range graphs[r-1].Edges() {
-				if !graphs[r].HasEdge(e[0], e[1]) {
-					changed = true
-				}
-			}
-		}
-	}
-	if !changed {
-		t.Error("churn adversary never changed the topology")
-	}
-}
-
 func TestStallerBookkeeping(t *testing.T) {
 	const n = 8
 	s := NewStaller(n, 0)
@@ -158,5 +137,47 @@ func TestStallerBookkeeping(t *testing.T) {
 	}
 	if count != 2 {
 		t.Fatalf("informed %d nodes after forced concession, want 2", count)
+	}
+}
+
+// TestNamed builds every table name (and so every -adv value of
+// cmd/dynsim and cmd/dynnode) and rejects unknown names and the n that
+// grid and hypercube cannot take.
+func TestNamed(t *testing.T) {
+	sizes := map[string]int{
+		"line": 8, "ring": 8, "star": 8, "complete": 6, "grid": 16,
+		"hypercube": 8, "random": 10, "bounded": 10, "rotating": 7,
+		"staller": 5, "tinterval": 9, "dual": 10, "deltachurn": 12,
+	}
+	if got := len(Names()); got != len(sizes) {
+		t.Errorf("%d names, want %d", got, len(sizes))
+	}
+	for _, name := range Names() {
+		n, ok := sizes[name]
+		if !ok {
+			t.Errorf("%s: no test size", name)
+			continue
+		}
+		adv, err := Named(name, n, 3, 1)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if adv == nil {
+			t.Errorf("%s: nil adversary", name)
+			continue
+		}
+		collect(t, adv, n, 4)
+	}
+	bad := []struct {
+		name string
+		n    int
+	}{
+		{"nope", 8}, {"grid", 7}, {"hypercube", 9},
+	}
+	for _, c := range bad {
+		if _, err := Named(c.name, c.n, 3, 1); err == nil {
+			t.Errorf("%s n=%d: accepted", c.name, c.n)
+		}
 	}
 }

@@ -6,9 +6,8 @@ import (
 	"dyndiam/internal/dynet"
 	"dyndiam/internal/harness"
 	"dyndiam/internal/obs"
-	"dyndiam/internal/protocols/consensus"
 	"dyndiam/internal/protocols/flood"
-	"dyndiam/internal/protocols/leader"
+	"dyndiam/internal/verify"
 )
 
 // Proto names one searched protocol objective.
@@ -38,9 +37,27 @@ const (
 	ProtoLeader        Proto = "leaderelect"
 )
 
+// objectives holds every searched protocol in a stable order, with the
+// problem it runs (a row of the verify table) and whether the run is told
+// the schedule's dynamic diameter.
+var objectives = []struct {
+	proto   Proto
+	problem verify.Problem
+	knownD  bool
+}{
+	{ProtoCFloodKnown, verify.MustLookup("cflood"), true},
+	{ProtoCFloodUnknown, verify.MustLookup("cflood"), false},
+	{ProtoConsensus, verify.MustLookup("consensus"), true},
+	{ProtoLeader, verify.MustLookup("leader"), false},
+}
+
 // Protocols lists every searched protocol in a stable order.
 func Protocols() []Proto {
-	return []Proto{ProtoCFloodKnown, ProtoCFloodUnknown, ProtoConsensus, ProtoLeader}
+	protos := make([]Proto, len(objectives))
+	for i, o := range objectives {
+		protos[i] = o.proto
+	}
+	return protos
 }
 
 // ParseProto validates a protocol name.
@@ -91,49 +108,39 @@ func (h Hardness) ScoreFor(proto Proto) int64 {
 // protocols are bounded by N+2 structurally. reg, when non-nil,
 // receives the engine's metrics (the sweep-cell registry).
 func Evaluate(proto Proto, s Schedule, evalSeed uint64, budget int, reg *obs.Registry) (Hardness, error) {
+	i := 0
+	for i < len(objectives) && objectives[i].proto != proto {
+		i++
+	}
+	if i == len(objectives) {
+		return Hardness{}, fmt.Errorf("advsearch: unknown protocol %q", proto)
+	}
+	p := objectives[i].problem
 	d, err := harness.MeasureDynamicDiameter(s.Adversary(), s.N, s.Rounds+s.N+2)
 	if err != nil {
 		return Hardness{}, err
 	}
-	switch proto {
-	case ProtoCFloodKnown, ProtoCFloodUnknown:
-		inputs := make([]int64, s.N)
-		inputs[0] = 1
-		var extra map[string]int64
-		if proto == ProtoCFloodKnown {
-			extra = map[string]int64{flood.ExtraD: int64(d)}
-		}
-		ms := dynet.NewMachines(flood.CFlood{}, s.N, inputs, evalSeed, extra)
-		e := &dynet.Engine{Machines: ms, Adv: s.Adversary(), Metrics: reg}
-		res, err := e.RunFlood(s.N+2, dynet.StopNode(0))
-		if err != nil {
-			return Hardness{}, err
-		}
-		if !res.Done {
-			return Hardness{}, fmt.Errorf("advsearch: %s did not confirm within %d rounds (D=%d)", proto, s.N+2, d)
-		}
-		return Hardness{Rounds: res.Rounds, D: d, Done: true}, nil
-	case ProtoConsensus:
-		inputs := make([]int64, s.N)
-		for v := range inputs {
-			inputs[v] = int64(v % 2)
-		}
-		extra := map[string]int64{consensus.ExtraD: int64(d)}
-		ms := dynet.NewMachines(consensus.KnownD{}, s.N, inputs, evalSeed, extra)
-		e := &dynet.Engine{Machines: ms, Adv: s.Adversary(), Metrics: reg}
-		res, err := e.Run(budget)
-		if err != nil {
-			return Hardness{}, err
-		}
-		return Hardness{Rounds: res.Rounds, D: d, Done: res.Done}, nil
-	case ProtoLeader:
-		ms := dynet.NewMachines(leader.Protocol{}, s.N, make([]int64, s.N), evalSeed, nil)
-		e := &dynet.Engine{Machines: ms, Adv: s.Adversary(), Metrics: reg}
+	var extra map[string]int64
+	if objectives[i].knownD {
+		extra = map[string]int64{flood.ExtraD: int64(d)} // every known-D protocol reads this key
+	}
+	_, ms := p.Machines(s.N, evalSeed, extra)
+	e := &dynet.Engine{Machines: ms, Adv: s.Adversary(), Terminated: p.Terminated(), Metrics: reg}
+	if p.TermNode < 0 {
 		res, err := e.Run(budget)
 		if err != nil {
 			return Hardness{}, err
 		}
 		return Hardness{Rounds: res.Rounds, D: d, Done: res.Done}, nil
 	}
-	return Hardness{}, fmt.Errorf("advsearch: unknown protocol %q", proto)
+	// A flood source confirms by round N-1 under every-round
+	// connectivity, so N+2 rounds bound the run structurally.
+	res, err := e.RunFlood(s.N+2, dynet.StopNode(p.TermNode))
+	if err != nil {
+		return Hardness{}, err
+	}
+	if !res.Done {
+		return Hardness{}, fmt.Errorf("advsearch: %s did not confirm within %d rounds (D=%d)", proto, s.N+2, d)
+	}
+	return Hardness{Rounds: res.Rounds, D: d, Done: true}, nil
 }

@@ -2,15 +2,16 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"dyndiam/internal/adversaries"
 	"dyndiam/internal/dynet"
 	"dyndiam/internal/faults"
-	"dyndiam/internal/protocols/flood"
-	"dyndiam/internal/protocols/leader"
+	"dyndiam/internal/obs"
 	"dyndiam/internal/rng"
 	"dyndiam/internal/stats"
+	"dyndiam/internal/verify"
 )
 
 // The degradation sweeps measure how fast the paper's clean-model
@@ -86,7 +87,7 @@ func FaultTrialSeed(root uint64, row, trial int) uint64 {
 // degradationSweep drives one row per Spec, Trials graceful cells per row.
 // All rows × trials run as one grid across s.WorkersFor(rows*trials), so
 // a slow row does not hold back the cells of the next.
-func (s Sweep) degradationSweep(cfg DegradationConfig, run func(trial int, plan *faults.Plan) (degTrial, error)) ([]DegradationRow, error) {
+func (s Sweep) degradationSweep(cfg DegradationConfig, run func(row, trial int) (degTrial, error)) ([]DegradationRow, error) {
 	if cfg.Trials <= 0 {
 		return nil, fmt.Errorf("harness: degradation sweep needs at least one trial, got %d", cfg.Trials)
 	}
@@ -101,18 +102,7 @@ func (s Sweep) degradationSweep(cfg DegradationConfig, run func(trial int, plan 
 			return nil, fmt.Errorf("harness: degradation row %d: %w", i, err)
 		}
 	}
-	trials, outcomes := gracefulCells(s, len(cfg.Specs), cfg.Trials, cfg.CellBudget, func(i, trial int) (degTrial, error) {
-		var plan *faults.Plan
-		if spec := cfg.Specs[i]; !spec.Zero() {
-			spec.Seed = FaultTrialSeed(cfg.Seed, i, trial)
-			p, err := faults.NewPlan(spec)
-			if err != nil {
-				return degTrial{}, err
-			}
-			plan = p
-		}
-		return run(trial, plan)
-	})
+	trials, outcomes := gracefulCells(s, len(cfg.Specs), cfg.Trials, cfg.CellBudget, run)
 	rows := make([]DegradationRow, len(cfg.Specs))
 	for i, spec := range cfg.Specs {
 		row := DegradationRow{Spec: spec, Label: spec.Label(), Trials: cfg.Trials}
@@ -136,74 +126,111 @@ func (s Sweep) degradationSweep(cfg DegradationConfig, run func(trial int, plan 
 	return rows, nil
 }
 
-// LeaderDegradation sweeps the Section 7 leader election across fault
-// Specs. A trial errs when any node outputs a wrong leader, or when the
-// run fails to terminate within the harness round budget (a frozen
-// candidate can stall the doubling schedule forever — under faults that is
-// a degradation datum, not a harness bug). The zero-Spec row is identical
-// to LeaderReliability with the same N, diameter, trials, and Extra.
-func (s Sweep) LeaderDegradation(cfg DegradationConfig) ([]DegradationRow, error) {
-	budget := s.budget()
-	return s.degradationSweep(cfg, func(trial int, plan *faults.Plan) (degTrial, error) {
-		seed := ReliabilityTrialSeed(trial)
-		adv := adversaries.BoundedDiameter(cfg.N, cfg.TargetDiam, cfg.N/2, seed)
-		ms := dynet.NewMachines(leader.Protocol{}, cfg.N, make([]int64, cfg.N), seed, cfg.Extra)
-		e := &dynet.Engine{Machines: ms, Adv: adv, Plan: plan}
-		res, err := e.Run(budget)
+// degradationProblems are the problems a degradation sweep runs, each
+// with the horizon of its trials: the rounds after which a trial that has
+// not terminated counts as NonTermination. A CFLOOD source confirms at
+// round N−1 even without a known diameter, so a source that has not
+// confirmed within 4N rounds never will; leader election runs under the
+// sweep's round budget. No other problem has a proven horizon (a PFLOOD
+// source, for one, waits 4·D·⌈log₂(N+1)⌉ rounds), so Degradation rejects
+// it.
+var degradationProblems = []struct {
+	problem verify.Problem
+	horizon func(s Sweep, n int) int
+}{
+	{verify.MustLookup("leader"), func(s Sweep, _ int) int { return s.budget() }},
+	{verify.MustLookup("cflood"), func(_ Sweep, n int) int { return 4 * n }},
+}
+
+// DegradationProblems lists the problems Degradation sweeps.
+func DegradationProblems() []string {
+	names := make([]string, len(degradationProblems))
+	for i, d := range degradationProblems {
+		names[i] = d.problem.Name
+	}
+	return names
+}
+
+// degradationProblem returns the named problem's table row and the
+// horizon of its trials on n nodes.
+func (s Sweep) degradationProblem(name string, n int) (verify.Problem, int, error) {
+	for _, d := range degradationProblems {
+		if d.problem.Name == name {
+			return d.problem, d.horizon(s, n), nil
+		}
+	}
+	return verify.Problem{}, 0, fmt.Errorf("harness: no degradation sweep for problem %q (have %s)",
+		name, strings.Join(DegradationProblems(), ", "))
+}
+
+// Degradation sweeps the named problem across fault Specs, on the
+// bounded-diameter family; the problem is one of DegradationProblems. A
+// trial errs when its outputs fail the problem's audit, or when it fails
+// outright: an engine error, a panic, a wall-clock timeout, or no
+// termination within the trial's horizon. Under faults a frozen leader
+// candidate can stall the doubling schedule forever, and a crashed flood
+// source misses its confirmation round; both are degradation data, not
+// harness bugs. For the leader problem the zero-Spec row is identical to
+// LeaderReliability with the same N, diameter, trials, and Extra.
+func (s Sweep) Degradation(problem string, cfg DegradationConfig) ([]DegradationRow, error) {
+	p, horizon, err := s.degradationProblem(problem, cfg.N)
+	if err != nil {
+		return nil, err
+	}
+	return s.degradationSweep(cfg, func(row, trial int) (degTrial, error) {
+		inputs, ms, res, err := s.trialRun(p, horizon, cfg, row, trial, nil, nil)
 		if err != nil {
 			return degTrial{}, err
 		}
 		if !res.Done {
-			return degTrial{}, NonTermination{Name: "leader degradation", Cell: trial, Budget: budget}
+			return degTrial{}, NonTermination{Name: p.Name + " degradation", Cell: trial, Budget: horizon}
 		}
-		d := degTrial{rounds: res.Rounds}
-		for _, out := range res.Outputs {
-			if out != int64(cfg.N-1) {
-				d.wrong = true
-			}
-		}
-		return d, nil
+		return degTrial{rounds: res.Rounds, wrong: p.Audit(inputs, ms, res) != nil}, nil
 	})
 }
 
-// LeaderDegradation is Sweep{}.LeaderDegradation.
+// DegradationTrial re-runs trial `trial` of row `row` of the problem's
+// Degradation sweep over cfg, with sink and reg attached to its engine.
+// It is the run the sweep made for that cell, seeds and fault plan
+// included, so a recorded failure can be replayed in isolation
+// (cmd/chaos -replay). It returns the engine's result and error, unaudited.
+func (s Sweep) DegradationTrial(problem string, cfg DegradationConfig, row, trial int, sink obs.Sink, reg *obs.Registry) (*dynet.Result, error) {
+	p, horizon, err := s.degradationProblem(problem, cfg.N)
+	if err != nil {
+		return nil, err
+	}
+	_, _, res, err := s.trialRun(p, horizon, cfg, row, trial, sink, reg)
+	return res, err
+}
+
+// trialRun makes the run of one degradation trial: problem p on a fresh
+// bounded-diameter network, with the protocol and adversary seeds of
+// ReliabilityTrialSeed(trial) and the row's fault Spec seeded by
+// FaultTrialSeed, under the problem's termination rule for at most
+// horizon rounds.
+func (s Sweep) trialRun(p verify.Problem, horizon int, cfg DegradationConfig, row, trial int, sink obs.Sink, reg *obs.Registry) ([]int64, []dynet.Machine, *dynet.Result, error) {
+	var plan *faults.Plan
+	if spec := cfg.Specs[row]; !spec.Zero() {
+		spec.Seed = FaultTrialSeed(cfg.Seed, row, trial)
+		var err error
+		if plan, err = faults.NewPlan(spec); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	seed := ReliabilityTrialSeed(trial)
+	inputs, ms := p.Machines(cfg.N, seed, cfg.Extra)
+	e := &dynet.Engine{
+		Machines: ms, Adv: adversaries.BoundedDiameter(cfg.N, cfg.TargetDiam, cfg.N/2, seed),
+		Plan: plan, Terminated: p.Terminated(), Obs: sink, Metrics: reg,
+	}
+	res, err := e.Run(horizon)
+	return inputs, ms, res, err
+}
+
+// LeaderDegradation is Sweep{}.Degradation of the Section 7 leader
+// election: a trial errs when any node outputs a wrong leader.
 func LeaderDegradation(cfg DegradationConfig) ([]DegradationRow, error) {
-	return Sweep{}.LeaderDegradation(cfg)
-}
-
-// CFloodDegradation sweeps unknown-diameter confirmed flooding (the
-// pessimistic D = N-1 baseline) across fault Specs. A trial errs when the
-// source confirms while some node is uninformed or holds a corrupted
-// token — exactly the CFLOOD correctness condition — or when the source
-// never confirms within the 4N-round horizon (a crashed source misses its
-// confirmation round).
-func (s Sweep) CFloodDegradation(cfg DegradationConfig) ([]DegradationRow, error) {
-	const token = 1
-	horizon := 4 * cfg.N
-	return s.degradationSweep(cfg, func(trial int, plan *faults.Plan) (degTrial, error) {
-		seed := ReliabilityTrialSeed(trial)
-		adv := adversaries.BoundedDiameter(cfg.N, cfg.TargetDiam, cfg.N/2, seed)
-		inputs := make([]int64, cfg.N)
-		inputs[0] = token
-		ms := dynet.NewMachines(flood.CFlood{}, cfg.N, inputs, seed, cfg.Extra)
-		e := &dynet.Engine{Machines: ms, Adv: adv, Plan: plan,
-			Terminated: dynet.NodeDecided(0)}
-		res, err := e.Run(horizon)
-		if err != nil {
-			return degTrial{}, err
-		}
-		if !res.Done {
-			return degTrial{}, NonTermination{Name: "cflood degradation", Cell: trial, Budget: horizon}
-		}
-		d := degTrial{rounds: res.Rounds}
-		for _, m := range ms {
-			out, ok := m.Output()
-			if !ok || out != token {
-				d.wrong = true
-			}
-		}
-		return d, nil
-	})
+	return Sweep{}.Degradation("leader", cfg)
 }
 
 // FormatDegradationTable renders degradation rows.

@@ -45,7 +45,7 @@ func TestDegradationParallelEqualsSequential(t *testing.T) {
 		Specs: []faults.Spec{{}, {Drop: 0.3}, {Crash: 0.05}},
 	}
 	run := func(workers int) []DegradationRow {
-		rows, err := Sweep{Workers: workers}.LeaderDegradation(cfg)
+		rows, err := Sweep{Workers: workers}.Degradation("leader", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,25 +73,18 @@ func TestDegradationGridWorkersDeepEqual(t *testing.T) {
 		N: 12, TargetDiam: 3, Trials: 3, Seed: 5,
 		Specs: []faults.Spec{{}, {Drop: 0.2}, {Outages: []faults.Outage{{Node: 0, From: 1, Until: 1 << 20}}}},
 	}
-	sweeps := []struct {
-		name  string
-		sweep func(Sweep, DegradationConfig) ([]DegradationRow, error)
-	}{
-		{"leader", Sweep.LeaderDegradation},
-		{"cflood", Sweep.CFloodDegradation},
-	}
-	for _, tc := range sweeps {
+	for _, problem := range []string{"leader", "cflood"} {
 		var runs [][]DegradationRow
 		for _, workers := range []int{1, 4, 0} {
-			rows, err := tc.sweep(Sweep{Workers: workers, Budget: 600}, cfg)
+			rows, err := Sweep{Workers: workers, Budget: 600}.Degradation(problem, cfg)
 			if err != nil {
-				t.Fatalf("%s at %d workers: %v", tc.name, workers, err)
+				t.Fatalf("%s at %d workers: %v", problem, workers, err)
 			}
 			runs = append(runs, rows)
 		}
 		for _, par := range runs[1:] {
 			if !reflect.DeepEqual(runs[0], par) {
-				t.Errorf("%s rows differ across worker counts:\nseq %+v\npar %+v", tc.name, runs[0], par)
+				t.Errorf("%s rows differ across worker counts:\nseq %+v\npar %+v", problem, runs[0], par)
 			}
 		}
 		nonTerm := 0
@@ -101,16 +94,16 @@ func TestDegradationGridWorkersDeepEqual(t *testing.T) {
 				if errors.As(cf.Err, &nt) {
 					nonTerm++
 					if nt.Cell != cf.Cell {
-						t.Errorf("%s row %d: NonTermination names cell %d, CellResult %d", tc.name, i, nt.Cell, cf.Cell)
+						t.Errorf("%s row %d: NonTermination names cell %d, CellResult %d", problem, i, nt.Cell, cf.Cell)
 					}
 				}
 				if cf.Cell < 0 || cf.Cell >= cfg.Trials {
-					t.Errorf("%s row %d: failure names cell %d, want a trial index below %d", tc.name, i, cf.Cell, cfg.Trials)
+					t.Errorf("%s row %d: failure names cell %d, want a trial index below %d", problem, i, cf.Cell, cfg.Trials)
 				}
 			}
 		}
 		if nonTerm == 0 {
-			t.Errorf("%s: no trial reported NonTermination", tc.name)
+			t.Errorf("%s: no trial reported NonTermination", problem)
 		}
 	}
 }
@@ -160,28 +153,21 @@ func TestCrashRejoinGridParallelDeterminism(t *testing.T) {
 		}
 		return rows, fails
 	}
-	sweeps := []struct {
-		name  string
-		sweep func(Sweep, DegradationConfig) ([]DegradationRow, error)
-	}{
-		{"leader", Sweep.LeaderDegradation},
-		{"cflood", Sweep.CFloodDegradation},
-	}
-	for _, tc := range sweeps {
+	for _, problem := range []string{"leader", "cflood"} {
 		run := func(workers int) ([]DegradationRow, [][]failure) {
-			rows, err := tc.sweep(Sweep{Workers: workers}, cfg)
+			rows, err := Sweep{Workers: workers}.Degradation(problem, cfg)
 			if err != nil {
-				t.Fatalf("%s at %d workers: %v", tc.name, workers, err)
+				t.Fatalf("%s at %d workers: %v", problem, workers, err)
 			}
 			return flatten(rows)
 		}
 		seqRows, seqFails := run(1)
 		parRows, parFails := run(8)
 		if !reflect.DeepEqual(seqRows, parRows) {
-			t.Errorf("%s crash/rejoin grid differs across worker counts:\nseq %+v\npar %+v", tc.name, seqRows, parRows)
+			t.Errorf("%s crash/rejoin grid differs across worker counts:\nseq %+v\npar %+v", problem, seqRows, parRows)
 		}
 		if !reflect.DeepEqual(seqFails, parFails) {
-			t.Errorf("%s cell failures (with error texts) differ across worker counts:\nseq %+v\npar %+v", tc.name, seqFails, parFails)
+			t.Errorf("%s cell failures (with error texts) differ across worker counts:\nseq %+v\npar %+v", problem, seqFails, parFails)
 		}
 		// The grid must actually exercise the crash path: scheduled
 		// outages or churn should perturb at least one row relative to a
@@ -194,7 +180,7 @@ func TestCrashRejoinGridParallelDeterminism(t *testing.T) {
 			}
 		}
 		if !perturbed {
-			t.Logf("%s: no errored cells in the crash grid (still a valid determinism check)", tc.name)
+			t.Logf("%s: no errored cells in the crash grid (still a valid determinism check)", problem)
 		}
 	}
 }
@@ -202,7 +188,7 @@ func TestCrashRejoinGridParallelDeterminism(t *testing.T) {
 // TestCFloodDegradationShape: the flooding sweep produces one row per
 // Spec, a clean zero row, and degradation under total message loss.
 func TestCFloodDegradationShape(t *testing.T) {
-	rows, err := Sweep{}.CFloodDegradation(DegradationConfig{
+	rows, err := Sweep{}.Degradation("cflood", DegradationConfig{
 		N: 10, TargetDiam: 3, Trials: 3, Seed: 5,
 		Specs: []faults.Spec{{}, {Drop: 1}},
 	})
@@ -239,6 +225,31 @@ func TestDegradationRejectsBadConfig(t *testing.T) {
 	for i, cfg := range bad {
 		if _, err := LeaderDegradation(cfg); err == nil {
 			t.Errorf("config %d accepted", i)
+		}
+	}
+}
+
+// TestDegradationRejectsUnprovenHorizon: only the problems whose trial
+// horizon is proven sweep. A PFLOOD source confirms after 4·D·⌈log₂(N+1)⌉
+// rounds, past CFLOOD's 4N horizon, so a pflood sweep would record every
+// trial as a non-termination; it must be refused, as must an unknown name.
+func TestDegradationRejectsUnprovenHorizon(t *testing.T) {
+	cfg := DegradationConfig{N: 8, TargetDiam: 2, Trials: 1, Specs: []faults.Spec{{}}}
+	for _, problem := range []string{"pflood", "consensus", "nosuch"} {
+		if _, err := (Sweep{}).Degradation(problem, cfg); err == nil {
+			t.Errorf("Degradation(%q) accepted", problem)
+		}
+		if _, err := (Sweep{}).DegradationTrial(problem, cfg, 0, 0, nil, nil); err == nil {
+			t.Errorf("DegradationTrial(%q) accepted", problem)
+		}
+	}
+	for _, problem := range DegradationProblems() {
+		rows, err := (Sweep{}).Degradation(problem, cfg)
+		if err != nil {
+			t.Fatalf("Degradation(%q): %v", problem, err)
+		}
+		if rows[0].Errors != 0 {
+			t.Errorf("clean %s row: %d errors, failures %v", problem, rows[0].Errors, rows[0].CellFailures)
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"dyndiam/internal/protocols/counting"
 	"dyndiam/internal/protocols/flood"
 	"dyndiam/internal/protocols/leader"
+	"dyndiam/internal/verify"
 )
 
 // sweepRoundBounds buckets whole-run round counts; wider than the engine's
@@ -31,30 +32,46 @@ func sweepRoundBounds() []int64 {
 // measurement holds O(n²/64) words per open start time (about D+1 of
 // them), regardless of the horizon.
 func MeasureDynamicDiameter(adv dynet.Adversary, n, horizon int) (int, error) {
+	return measureDiameter(adv, n, horizon, horizon)
+}
+
+// measureDiameter is MeasureDynamicDiameter with room to run on: when the
+// first horizon rounds do not certify the diameter, it keeps advancing
+// the tracker one round at a time until they do, and fails only once
+// limit rounds have not. Every round opens one more start time, but the
+// tracker certifies as soon as the start times still open number fewer
+// than the largest completed spread, which each late round brings closer.
+func measureDiameter(adv dynet.Adversary, n, horizon, limit int) (int, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("harness: cannot measure diameter over %d nodes", n)
 	}
 	actions := make([]dynet.Action, n) // zero value is Receive
 	tr := bitkernel.NewDiameterTracker(n)
-	for r := 1; r <= horizon; r++ {
+	for r := 1; r <= limit; r++ {
 		g := adv.Topology(r, actions)
 		if g == nil || g.N() != n {
 			return 0, fmt.Errorf("harness: round %d topology does not span the %d measured nodes", r, n)
 		}
 		tr.Advance(g)
+		if r < horizon {
+			continue
+		}
+		if d, exact := tr.Result(); exact {
+			return d, nil
+		}
 	}
-	d, exact := tr.Result()
-	if !exact {
-		return d, fmt.Errorf("harness: horizon %d did not certify the diameter (lower bound %d)", horizon, d)
-	}
-	return d, nil
+	d, _ := tr.Result()
+	return d, fmt.Errorf("harness: horizon %d did not certify the diameter (lower bound %d)", limit, d)
 }
 
 // boundedDiameter measures the dynamic diameter of the bounded-diameter
-// family every sweep runs on (n nodes, n/2 extra edges per round),
-// certified within a horizon of 6·targetDiam+60 rounds.
+// family every sweep runs on (n nodes, n/2 extra edges per round). It
+// advances 6·targetDiam+60 rounds, then one round at a time until the
+// diameter is certified, for at most 4n rounds in all (MODEL.md §3 says
+// which start times the result covers).
 func boundedDiameter(n, targetDiam int, seed uint64) (int, error) {
-	return MeasureDynamicDiameter(adversaries.BoundedDiameter(n, targetDiam, n/2, seed), n, 6*targetDiam+60)
+	horizon := 6*targetDiam + 60
+	return measureDiameter(adversaries.BoundedDiameter(n, targetDiam, n/2, seed), n, horizon, max(horizon, 4*n))
 }
 
 // GapRow is one row of the E4 headline table.
@@ -75,6 +92,7 @@ type GapRow struct {
 //
 //lint:pure
 func (s Sweep) GapTable(sizes []int, targetDiam int, seed uint64) ([]GapRow, error) {
+	p := verify.MustLookup("cflood")
 	rows := make([]GapRow, len(sizes))
 	err := s.ForEachCell(len(sizes), func(i int, reg *obs.Registry) error {
 		n := sizes[i]
@@ -89,23 +107,15 @@ func (s Sweep) GapTable(sizes []int, targetDiam int, seed uint64) ([]GapRow, err
 		row.LowerBoundFR = math.Pow(float64(n)/math.Log2(float64(n)), 0.25)
 
 		run := func(extra map[string]int64) (int, bool, error) {
-			inputs := make([]int64, n)
-			inputs[0] = 1
-			ms := dynet.NewMachines(flood.CFlood{}, n, inputs, seed^uint64(n), extra)
+			inputs, ms := p.Machines(n, seed^uint64(n), extra)
 			e := &dynet.Engine{Machines: ms, Adv: makeAdv(), Metrics: reg}
 			// CFlood qualifies for the word-packed fast path; RunFlood
 			// returns results bit-identical to the message path.
-			res, err := e.RunFlood(4*n, dynet.StopNode(0))
+			res, err := e.RunFlood(4*n, dynet.StopNode(p.TermNode))
 			if err != nil || !res.Done {
 				return 0, false, fmt.Errorf("harness: cflood did not confirm: %v", err)
 			}
-			allInformed := true
-			for _, m := range ms {
-				if !flood.Informed(m) {
-					allInformed = false
-				}
-			}
-			return res.Rounds, allInformed, nil
+			return res.Rounds, p.Audit(inputs, ms, res) == nil, nil
 		}
 
 		known, okKnown, err := run(map[string]int64{flood.ExtraD: int64(d)})
@@ -166,6 +176,7 @@ type LeaderRow struct {
 //
 //lint:pure
 func (s Sweep) LeaderSweep(sizes []int, targetDiam int, nprimeFactor float64, cPermille int64, seed uint64) ([]LeaderRow, error) {
+	p := verify.MustLookup("leader")
 	rows := make([]LeaderRow, len(sizes))
 	err := s.ForEachCell(len(sizes), func(i int, reg *obs.Registry) error {
 		n := sizes[i]
@@ -178,9 +189,8 @@ func (s Sweep) LeaderSweep(sizes []int, targetDiam int, nprimeFactor float64, cP
 			leader.ExtraNPrime:    int64(nprimeFactor * float64(n)),
 			leader.ExtraCPermille: cPermille,
 		}
-		inputs := make([]int64, n)
-		ms := dynet.NewMachines(leader.Protocol{}, n, inputs, seed^uint64(3*n), extra)
-		e := &dynet.Engine{Machines: ms, Adv: adv, Metrics: reg}
+		inputs, ms := p.Machines(n, seed^uint64(3*n), extra)
+		e := &dynet.Engine{Machines: ms, Adv: adv, Terminated: p.Terminated(), Metrics: reg}
 		budget := s.budget()
 		res, err := e.Run(budget)
 		if err != nil {
@@ -188,12 +198,6 @@ func (s Sweep) LeaderSweep(sizes []int, targetDiam int, nprimeFactor float64, cP
 		}
 		if !res.Done {
 			return NonTermination{Name: fmt.Sprintf("leaderelect N=%d", n), Cell: i, Budget: budget}
-		}
-		correct := true
-		for _, out := range res.Outputs {
-			if out != int64(n-1) {
-				correct = false
-			}
 		}
 		failed := 0
 		for _, m := range ms {
@@ -206,7 +210,7 @@ func (s Sweep) LeaderSweep(sizes []int, targetDiam int, nprimeFactor float64, cP
 			Rounds:        res.Rounds,
 			FloodingRnds:  float64(res.Rounds) / float64(d),
 			PerDLog2:      float64(res.Rounds) / (float64(d) + logN) / (logN * logN),
-			Correct:       correct,
+			Correct:       p.Audit(inputs, ms, res) == nil,
 			FailedLockers: failed,
 		}
 		reg.Counter("sweep_cells_total").Add(1)
@@ -253,6 +257,7 @@ type EstimateRow struct {
 //
 //lint:pure
 func (s Sweep) EstimateSweep(sizes, ks []int, targetDiam int, seed uint64) ([]EstimateRow, error) {
+	p := verify.MustLookup("estimate")
 	rows := make([]EstimateRow, len(sizes)*len(ks))
 	err := s.ForEachCell(len(rows), func(i int, reg *obs.Registry) error {
 		// Cell (n, k); the diameter measurement repeats per k but is a
@@ -266,7 +271,7 @@ func (s Sweep) EstimateSweep(sizes, ks []int, targetDiam int, seed uint64) ([]Es
 		adv := adversaries.BoundedDiameter(n, targetDiam, n/2, seed+uint64(n))
 		w := bitio.WidthFor(n + 1)
 		rounds := 4 * k * (d + w)
-		ms := dynet.NewMachines(counting.EstimateN{}, n, nil, seed+uint64(k), map[string]int64{
+		_, ms := p.Machines(n, seed+uint64(k), map[string]int64{
 			counting.ExtraD: int64(d), counting.ExtraK: int64(k),
 			counting.ExtraRounds: int64(rounds),
 		})
@@ -388,6 +393,8 @@ type ConsensusGapRow struct {
 //
 //lint:pure
 func (s Sweep) ConsensusGap(sizes []int, targetDiam int, seed uint64) ([]ConsensusGapRow, error) {
+	known := verify.MustLookup("consensus")
+	viaLeader := verify.MustLookup("vialeader")
 	rows := make([]ConsensusGapRow, len(sizes))
 	err := s.ForEachCell(len(sizes), func(i int, reg *obs.Registry) error {
 		n := sizes[i]
@@ -395,18 +402,14 @@ func (s Sweep) ConsensusGap(sizes []int, targetDiam int, seed uint64) ([]Consens
 		if err != nil {
 			return err
 		}
-		inputs := make([]int64, n)
-		for v := range inputs {
-			inputs[v] = int64(v % 2)
-		}
-		want := inputs[n-1]
 
-		run := func(p dynet.Protocol, extra map[string]int64) (int, bool, error) {
-			ms := dynet.NewMachines(p, n, inputs, seed+uint64(n), extra)
+		run := func(p verify.Problem, extra map[string]int64) (int, bool, error) {
+			inputs, ms := p.Machines(n, seed+uint64(n), extra)
 			e := &dynet.Engine{
-				Machines: ms,
-				Adv:      adversaries.BoundedDiameter(n, targetDiam, n/2, seed+uint64(n)),
-				Metrics:  reg,
+				Machines:   ms,
+				Adv:        adversaries.BoundedDiameter(n, targetDiam, n/2, seed+uint64(n)),
+				Terminated: p.Terminated(),
+				Metrics:    reg,
 			}
 			res, err := e.Run(s.budget())
 			if err != nil {
@@ -415,20 +418,14 @@ func (s Sweep) ConsensusGap(sizes []int, targetDiam int, seed uint64) ([]Consens
 			if !res.Done {
 				return 0, false, NonTermination{Name: fmt.Sprintf("consensus N=%d", n), Cell: i, Budget: s.budget()}
 			}
-			ok := true
-			for _, out := range res.Outputs {
-				if out != want {
-					ok = false
-				}
-			}
-			return res.Rounds, ok, nil
+			return res.Rounds, p.Audit(inputs, ms, res) == nil, nil
 		}
 
-		kRounds, kOK, err := run(consensus.KnownD{}, map[string]int64{consensus.ExtraD: int64(d)})
+		kRounds, kOK, err := run(known, map[string]int64{consensus.ExtraD: int64(d)})
 		if err != nil {
 			return err
 		}
-		vRounds, vOK, err := run(consensus.ViaLeader{}, nil)
+		vRounds, vOK, err := run(viaLeader, nil)
 		if err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"dyndiam/internal/chains"
 	"dyndiam/internal/disjcp"
@@ -12,6 +13,7 @@ import (
 	"dyndiam/internal/rng"
 	"dyndiam/internal/subnet"
 	"dyndiam/internal/twoparty"
+	"dyndiam/internal/verify"
 )
 
 // ReductionRow is one row of the E1/E2 reduction tables.
@@ -65,17 +67,10 @@ func (s Sweep) CFloodReduction(qs []int, n int, seed uint64) ([]ReductionRow, er
 				if res.Claim {
 					claim = 1
 				}
-				// Oracle error audit: if the reference source
-				// confirmed within the horizon, was everyone
-				// informed?
-				oracleErr := false
-				if res.ReferenceDecided[net.Source()] {
-					for _, m := range res.ReferenceMachines {
-						if !flood.Informed(m) {
-							oracleErr = true
-						}
-					}
-				}
+				// Oracle error: the reference source confirmed
+				// within the horizon, but the CFLOOD audit fails.
+				src, ref := net.Source(), &dynet.Result{Decided: res.ReferenceDecided}
+				oracleErr := ref.Decided[src] && verify.CFlood(setup.Inputs, res.ReferenceMachines, ref, src) != nil
 				bits := res.BitsAliceToBob + res.BitsBobToAlice
 				rows = append(rows, ReductionRow{
 					Q: q, N: net.N, Disj: in.Eval(),
@@ -155,14 +150,10 @@ func (s Sweep) ConsensusReductionOracle(qs []int, seed uint64, oracle dynet.Prot
 				LemmaViolations: len(res.LemmaViolations),
 			}
 			row.ClaimCorrect = row.Claim == row.Disj
-			// Agreement audit over the reference execution.
-			decided := map[int64]bool{}
-			for v, ok := range res.ReferenceDecided {
-				if ok {
-					decided[res.ReferenceOutputs[v]] = true
-				}
-			}
-			row.AgreementViolated = len(decided) > 1
+			// Agreement audit over the reference execution's decided
+			// nodes; a run in which none decided violates nothing.
+			_, disagree := verify.Agreement(&dynet.Result{Outputs: res.ReferenceOutputs, Decided: res.ReferenceDecided})
+			row.AgreementViolated = disagree != nil && slices.Contains(res.ReferenceDecided, true)
 			rows = append(rows, row)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"dyndiam/internal/obs"
 	"dyndiam/internal/protocols/leader"
 	"dyndiam/internal/stats"
+	"dyndiam/internal/verify"
 )
 
 // Reliability is the outcome of a repeated-seed protocol evaluation.
@@ -31,14 +32,15 @@ func ReliabilityTrialSeed(trial int) uint64 {
 // error <= 1/N) and the termination-round distribution.
 func (s Sweep) LeaderReliability(n, targetDiam, trials int, extra map[string]int64) (Reliability, error) {
 	rel := Reliability{Trials: trials}
+	p := verify.MustLookup("leader")
 	rounds := make([]float64, trials)
 	failed := make([]bool, trials)
 	budget := s.budget()
 	err := s.ForEachCell(trials, func(trial int, reg *obs.Registry) error {
 		seed := ReliabilityTrialSeed(trial)
 		adv := adversaries.BoundedDiameter(n, targetDiam, n/2, seed)
-		ms := dynet.NewMachines(leader.Protocol{}, n, make([]int64, n), seed, extra)
-		e := &dynet.Engine{Machines: ms, Adv: adv, Metrics: reg}
+		inputs, ms := p.Machines(n, seed, extra)
+		e := &dynet.Engine{Machines: ms, Adv: adv, Terminated: p.Terminated(), Metrics: reg}
 		res, err := e.Run(budget)
 		if err != nil {
 			return err
@@ -46,11 +48,7 @@ func (s Sweep) LeaderReliability(n, targetDiam, trials int, extra map[string]int
 		if !res.Done {
 			return NonTermination{Name: "leader reliability", Cell: trial, Budget: budget}
 		}
-		for _, out := range res.Outputs {
-			if out != int64(n-1) {
-				failed[trial] = true
-			}
-		}
+		failed[trial] = p.Audit(inputs, ms, res) != nil
 		rounds[trial] = float64(res.Rounds)
 		return nil
 	})
@@ -88,13 +86,14 @@ type PhaseBreakdown struct {
 // LeaderPhases runs one seeded election on a low-diameter dynamic network
 // and reports its phase breakdown.
 func (s Sweep) LeaderPhases(n, targetDiam int, seed uint64, extra map[string]int64) (PhaseBreakdown, error) {
+	p := verify.MustLookup("leader")
 	adv := adversaries.BoundedDiameter(n, targetDiam, n/2, seed)
 	d, err := boundedDiameter(n, targetDiam, seed)
 	if err != nil {
 		return PhaseBreakdown{}, err
 	}
-	ms := dynet.NewMachines(leader.Protocol{}, n, make([]int64, n), seed, extra)
-	e := &dynet.Engine{Machines: ms, Adv: adv}
+	_, ms := p.Machines(n, seed, extra)
+	e := &dynet.Engine{Machines: ms, Adv: adv, Terminated: p.Terminated()}
 	budget := s.budget()
 	res, err := e.Run(budget)
 	if err != nil {

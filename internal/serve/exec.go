@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"dyndiam/internal/advsearch"
 	"dyndiam/internal/faults"
@@ -72,19 +73,12 @@ func run(sw harness.Sweep, kind Kind, p Params) ([]byte, error) {
 			N: p.N, TargetDiam: p.TargetDiam, Trials: p.Trials,
 			Seed: p.Seed, Specs: specs,
 		}
-		var rows []harness.DegradationRow
-		var name string
-		if kind == KindLeaderDegradation {
-			rows, err = sw.LeaderDegradation(cfg)
-			name = "LEADER"
-		} else {
-			rows, err = sw.CFloodDegradation(cfg)
-			name = "CFLOOD"
-		}
+		problem := degradationProblem[kind]
+		rows, err := sw.Degradation(problem, cfg)
 		if err != nil {
 			return nil, err
 		}
-		res.Table = harness.FormatDegradationTable(name, rows).String()
+		res.Table = harness.FormatDegradationTable(strings.ToUpper(problem), rows).String()
 		res.Data = harness.DegradationRowsJSON(rows)
 	case KindGapTable:
 		rows, err := sw.GapTable(p.Sizes, p.TargetDiam, p.Seed)

@@ -36,6 +36,12 @@ const (
 	KindAdvSearch Kind = "advsearch"
 )
 
+// degradationProblem maps each degradation kind to the problem it sweeps.
+var degradationProblem = map[Kind]string{
+	KindLeaderDegradation: "leader",
+	KindCFloodDegradation: "cflood",
+}
+
 // Kinds lists every served kind in a stable order.
 func Kinds() []Kind {
 	return []Kind{

@@ -138,3 +138,90 @@ func TestEstimateWithin(t *testing.T) {
 		t.Error("out-of-band estimate accepted")
 	}
 }
+
+// output is a machine that only reports an output.
+type output struct {
+	val int64
+	ok  bool
+}
+
+func (output) Step(int) (dynet.Action, dynet.Message) { return dynet.Receive, dynet.Message{} }
+func (output) Deliver(int, []dynet.Message)           {}
+func (o output) Output() (int64, bool)                { return o.val, o.ok }
+
+func TestCFlood(t *testing.T) {
+	inputs := []int64{7, 0, 0}
+	done := res([]int64{7, 7, 7}, []bool{true, true, true})
+	if err := CFlood(inputs, []dynet.Machine{output{7, true}, output{7, true}, output{7, true}}, done, 0); err != nil {
+		t.Errorf("good flood rejected: %v", err)
+	}
+	if err := CFlood(inputs, []dynet.Machine{output{7, true}, output{0, false}, output{7, true}}, done, 0); err == nil {
+		t.Error("uninformed node accepted")
+	}
+	if err := CFlood(inputs, []dynet.Machine{output{7, true}, output{7, true}, output{6, true}}, done, 0); err == nil {
+		t.Error("corrupted token accepted")
+	}
+	if err := CFlood(inputs, nil, res([]int64{0}, []bool{false}), 0); err == nil {
+		t.Error("unconfirmed source accepted")
+	}
+}
+
+func TestHearFrom(t *testing.T) {
+	inputs := make([]int64, 3)
+	if err := HearFrom(inputs, res([]int64{3, 3, 3}, []bool{true, true, true})); err != nil {
+		t.Errorf("good run rejected: %v", err)
+	}
+	if err := HearFrom(inputs, res([]int64{3, 2, 3}, []bool{true, true, true})); err == nil {
+		t.Error("short count accepted")
+	}
+}
+
+func TestMajority(t *testing.T) {
+	inputs := []int64{1, 1, 0}
+	if err := Majority(inputs, res([]int64{1, 1, 0}, []bool{true, true, true})); err != nil {
+		t.Errorf("sound claims rejected: %v", err)
+	}
+	if err := Majority(inputs, res([]int64{0, 0, 0}, []bool{true, true, true})); err != nil {
+		t.Errorf("silence rejected: %v", err)
+	}
+	if err := Majority(inputs, res([]int64{0, 0, 1}, []bool{true, true, true})); err == nil {
+		t.Error("minority claim accepted")
+	}
+}
+
+// TestTable: every name looks up its own row, every row is complete, and
+// an unknown name is an error.
+func TestTable(t *testing.T) {
+	for _, name := range Names() {
+		p, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Name != name || p.Protocol == nil || p.Audit == nil || p.TermNode >= 4 {
+			t.Errorf("%s: incomplete row %+v", name, p)
+		}
+	}
+	if _, err := Lookup("nope"); err == nil || !strings.Contains(err.Error(), "unknown protocol") {
+		t.Errorf("unknown name: err = %v", err)
+	}
+}
+
+// TestConsensusAuditWantsHighestInput: the table's consensus audit is
+// stricter than Consensus, which accepts any valid value.
+func TestConsensusAuditWantsHighestInput(t *testing.T) {
+	p, err := Lookup("consensus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs, _ := p.Machines(4, 1, nil) // 0 1 0 1
+	low := res([]int64{0, 0, 0, 0}, []bool{true, true, true, true})
+	if err := Consensus(inputs, low); err != nil {
+		t.Fatalf("Consensus rejected a valid decision: %v", err)
+	}
+	if err := p.Audit(inputs, nil, low); err == nil {
+		t.Error("audit accepted a decision other than the highest id's input")
+	}
+	if err := p.Audit(inputs, nil, res([]int64{1, 1, 1, 1}, []bool{true, true, true, true})); err != nil {
+		t.Errorf("audit rejected the highest id's input: %v", err)
+	}
+}

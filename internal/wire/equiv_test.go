@@ -11,6 +11,7 @@ import (
 	"dyndiam/internal/faults"
 	"dyndiam/internal/graph"
 	"dyndiam/internal/obs"
+	"dyndiam/internal/verify"
 )
 
 const testRingCap = 1 << 16
@@ -122,6 +123,11 @@ func TestDistributedEquivalence(t *testing.T) {
 		}, func(cfg *Config) {
 			cfg.Listener = &slowRejoinListener{Listener: cfg.Listener, after: 8, delay: 200 * time.Millisecond}
 		}},
+		// The staller builds each round from that round's actions, so the
+		// coordinator must hand it the actions the nodes committed.
+		{"pflood-staller-adaptive", RunSpec{
+			Proto: "pflood", N: 8, Seed: 11, MaxRounds: 48, Adv: "staller", CheckConnectivity: true,
+		}, nil},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -225,18 +231,15 @@ func TestDistributedErrorEquivalence(t *testing.T) {
 				t.Fatal("distributed run accepted a misbehaving adversary")
 			}
 
-			machines, err := base.Machines()
+			prob, err := verify.Lookup(base.Proto)
 			if err != nil {
 				t.Fatal(err)
 			}
-			terminated, err := base.Terminated()
-			if err != nil {
-				t.Fatal(err)
-			}
+			_, machines := prob.Machines(base.N, base.Seed, base.Extra)
 			tr, ring, reg := NewArtifacts(testRingCap)
 			eng := &dynet.Engine{
 				Machines: machines, Adv: mkAdv(), CheckConnectivity: true,
-				Trace: tr, Obs: ring, Metrics: reg, Terminated: terminated,
+				Trace: tr, Obs: ring, Metrics: reg, Terminated: prob.Terminated(),
 			}
 			res, runErr := eng.Run(base.MaxRounds)
 			proc := CollectArtifacts(res, runErr, tr, ring, reg)

@@ -8,6 +8,7 @@ import (
 	"dyndiam/internal/dynet"
 	"dyndiam/internal/faults"
 	"dyndiam/internal/obs"
+	"dyndiam/internal/verify"
 )
 
 // RunArtifacts is everything one execution produced that the golden
@@ -43,38 +44,22 @@ func CollectArtifacts(res *dynet.Result, err error, tr *dynet.Trace, ring *obs.R
 	}
 }
 
-// Terminated builds the engine termination predicate the spec implies —
-// the in-process form of the coordinator's decision.
-func (s *RunSpec) Terminated() (func([]dynet.Machine) bool, error) {
-	termNode, err := s.TermNode()
-	if err != nil {
-		return nil, err
-	}
-	if termNode >= 0 {
-		return dynet.NodeDecided(termNode), nil
-	}
-	return dynet.AllDecided, nil
-}
-
 // RunInProcess executes the spec on dynet.Engine — the golden twin of a
 // distributed Run over the identical RunSpec.
 func RunInProcess(spec RunSpec, ringCap int) (*RunArtifacts, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	machines, err := spec.Machines()
+	p, err := verify.Lookup(spec.Proto)
 	if err != nil {
 		return nil, err
 	}
+	_, machines := p.Machines(spec.N, spec.Seed, spec.Extra)
 	adv, err := spec.BuildAdversary()
 	if err != nil {
 		return nil, err
 	}
 	plan, err := faults.NewPlan(spec.Fault)
-	if err != nil {
-		return nil, err
-	}
-	terminated, err := spec.Terminated()
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +72,7 @@ func RunInProcess(spec RunSpec, ringCap int) (*RunArtifacts, error) {
 		Obs:               ring,
 		Metrics:           reg,
 		Plan:              plan,
-		Terminated:        terminated,
+		Terminated:        p.Terminated(),
 	}
 	res, runErr := eng.Run(spec.MaxRounds)
 	return CollectArtifacts(res, runErr, tr, ring, reg), nil

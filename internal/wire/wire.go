@@ -40,10 +40,7 @@ import (
 	"dyndiam/internal/adversaries"
 	"dyndiam/internal/dynet"
 	"dyndiam/internal/faults"
-	"dyndiam/internal/graph"
-	"dyndiam/internal/protocols/consensus"
-	"dyndiam/internal/protocols/flood"
-	"dyndiam/internal/protocols/leader"
+	"dyndiam/internal/verify"
 )
 
 // RunSpec is the complete, serializable description of one distributed
@@ -52,8 +49,7 @@ import (
 // everything else — protocol, inputs, seeds, fault mix — arrives over
 // the wire and is identical across the cluster by construction.
 type RunSpec struct {
-	// Proto names the protocol (see ProtoNames): cflood, pflood, leader,
-	// consensus.
+	// Proto names the problem, a row of the verify table (verify.Names).
 	Proto string `json:"proto"`
 	// N is the node count; node ids are 0..N-1.
 	N int `json:"n"`
@@ -65,11 +61,12 @@ type RunSpec struct {
 	// CheckConnectivity verifies each round's topology as the model
 	// requires of the adversary.
 	CheckConnectivity bool `json:"check_connectivity,omitempty"`
-	// Adv names the coordinator-side adversary (see BuildAdversary):
-	// line, ring, star, complete, random, bounded, rotating. Empty means
-	// ring. Node processes ignore it — the topology is the coordinator's.
+	// Adv names the coordinator-side adversary (adversaries.Names).
+	// Empty means ring. Node processes ignore it — the topology is the
+	// coordinator's.
 	Adv string `json:"adv,omitempty"`
-	// AdvD is the bounded adversary's target diameter.
+	// AdvD is the adversary family's parameter d (see adversaries.Named);
+	// below 1 it is 4.
 	AdvD int `json:"adv_d,omitempty"`
 	// Extra carries protocol parameters (diameter bound, N', ...).
 	Extra map[string]int64 `json:"extra,omitempty"`
@@ -78,61 +75,9 @@ type RunSpec struct {
 	Fault faults.Spec `json:"fault"`
 }
 
-// protoDef is one protocol registry entry. The registry is a slice, not
-// a map: the frame path iterates it, and map iteration is banned on that
-// path (dynlint's determinism rule; internal/wire is a strict row).
-type protoDef struct {
-	name  string
-	build func() dynet.Protocol
-	// inputs builds the per-node problem inputs.
-	inputs func(n int) []int64
-	// termNode is the node whose decision terminates the run, or -1 for
-	// all-nodes-decided.
-	termNode int
-}
-
-var protoDefs = []protoDef{
-	{"cflood", func() dynet.Protocol { return flood.CFlood{} }, tokenAtZero, 0},
-	{"pflood", func() dynet.Protocol { return flood.PFlood{} }, tokenAtZero, 0},
-	{"leader", func() dynet.Protocol { return leader.Protocol{} }, nil, -1},
-	{"consensus", func() dynet.Protocol { return consensus.KnownD{} }, parityInputs, -1},
-}
-
-func tokenAtZero(n int) []int64 {
-	in := make([]int64, n)
-	in[0] = 1
-	return in
-}
-
-func parityInputs(n int) []int64 {
-	in := make([]int64, n)
-	for v := range in {
-		in[v] = int64(v % 2)
-	}
-	return in
-}
-
-// ProtoNames lists the runnable protocols in registry order.
-func ProtoNames() []string {
-	names := make([]string, len(protoDefs))
-	for i, d := range protoDefs {
-		names[i] = d.name
-	}
-	return names
-}
-
-func (s *RunSpec) proto() (protoDef, error) {
-	for _, d := range protoDefs {
-		if d.name == s.Proto {
-			return d, nil
-		}
-	}
-	return protoDef{}, fmt.Errorf("wire: unknown protocol %q (have %v)", s.Proto, ProtoNames())
-}
-
 // Validate checks the spec the way ParseRunSpec does.
 func (s *RunSpec) Validate() error {
-	if _, err := s.proto(); err != nil {
+	if _, err := verify.Lookup(s.Proto); err != nil {
 		return err
 	}
 	if s.N < 1 {
@@ -175,57 +120,37 @@ func ParseRunSpec(data []byte) (RunSpec, error) {
 // and nothing else; the shared seed makes every process agree on the
 // whole set without communicating.
 func (s *RunSpec) Machines() ([]dynet.Machine, error) {
-	d, err := s.proto()
+	p, err := verify.Lookup(s.Proto)
 	if err != nil {
 		return nil, err
 	}
-	var inputs []int64
-	if d.inputs != nil {
-		inputs = d.inputs(s.N)
-	}
-	return dynet.NewMachines(d.build(), s.N, inputs, s.Seed, s.Extra), nil
+	_, ms := p.Machines(s.N, s.Seed, s.Extra)
+	return ms, nil
 }
 
 // TermNode returns the node whose decision terminates the run, or -1
 // for all-nodes-decided — the spec-level form of the engine's
 // Terminated predicate.
 func (s *RunSpec) TermNode() (int, error) {
-	d, err := s.proto()
+	p, err := verify.Lookup(s.Proto)
 	if err != nil {
 		return 0, err
 	}
-	return d.termNode, nil
+	return p.TermNode, nil
 }
 
-// BuildAdversary constructs the coordinator's adversary from the spec.
-// Adversaries are deterministic in (seed, round, actions), so the
-// distributed coordinator and the in-process twin, each holding a fresh
-// instance, see identical topologies.
+// BuildAdversary constructs the coordinator's adversary from the spec,
+// by adversaries.Named. Adversaries are deterministic in (seed, round,
+// actions), so the distributed coordinator and the in-process twin, each
+// holding a fresh instance, see identical topologies.
 func (s *RunSpec) BuildAdversary() (dynet.Adversary, error) {
 	name := s.Adv
 	if name == "" {
 		name = "ring"
 	}
-	n := s.N
-	switch name {
-	case "line":
-		return dynet.Static(graph.Line(n)), nil
-	case "ring":
-		return dynet.Static(graph.Ring(n)), nil
-	case "star":
-		return dynet.Static(graph.Star(n)), nil
-	case "complete":
-		return dynet.Static(graph.Complete(n)), nil
-	case "random":
-		return adversaries.RandomConnected(n, n/2, s.Seed), nil
-	case "bounded":
-		d := s.AdvD
-		if d < 1 {
-			d = 4
-		}
-		return adversaries.BoundedDiameter(n, d, n/2, s.Seed), nil
-	case "rotating":
-		return adversaries.RotatingStar(n), nil
+	d := s.AdvD
+	if d < 1 {
+		d = 4
 	}
-	return nil, fmt.Errorf("wire: unknown adversary %q", name)
+	return adversaries.Named(name, s.N, d, s.Seed)
 }
