@@ -93,7 +93,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, ms := prob.Machines(*n, *seed, extra)
+	inputs, ms := prob.Machines(*n, *seed, extra)
 	eng := &dyndiam.Engine{
 		Machines:          ms,
 		Adv:               adv,
@@ -158,14 +158,9 @@ func main() {
 		fmt.Printf("metrics       %s\n", *metricsOut)
 	}
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := dyndiam.WriteTrace(f, eng.Trace, *n); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := cliutil.WriteWith(*traceOut, func(f *os.File) error {
+			return dyndiam.WriteTrace(f, eng.Trace, *n)
+		}); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("trace         %s (%d rounds)\n", *traceOut, len(eng.Trace.Stats))
@@ -174,7 +169,13 @@ func main() {
 	if printResult(prob.Protocol.Name(), *advName, *n, res) > 0 {
 		fmt.Printf("sample output node0=%d node%d=%d\n", res.Outputs[0], *n-1, res.Outputs[*n-1])
 	}
-	if !res.Done {
+	audit := prob.Audit(inputs, ms, res)
+	if audit == nil {
+		fmt.Println("audit         ok")
+	} else {
+		fmt.Printf("audit         FAILED: %v\n", audit)
+	}
+	if !res.Done || audit != nil {
 		os.Exit(1)
 	}
 }

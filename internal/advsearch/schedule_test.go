@@ -20,7 +20,7 @@ func TestScheduleCanonicalFixpoint(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatalf("random schedule invalid: %v", err)
 	}
-	again := FromGraphs(s.Graphs())
+	again := dynet.FromGraphs(s.Graphs())
 	if !reflect.DeepEqual(s, again) {
 		t.Fatalf("canonicalization not a fixpoint:\n%+v\n%+v", s, again)
 	}
@@ -91,14 +91,14 @@ func TestValidateRejects(t *testing.T) {
 		{"op out of range", func(s *Schedule) { s.Base[0].U = 99 }},
 		{"self-loop op", func(s *Schedule) { s.Base[0].V = s.Base[0].U }},
 		{"disconnected round", func(s *Schedule) {
-			s.Base = []Op{{U: 0, V: 1}, {U: 2, V: 3}, {U: 4, V: 5}}
+			s.Base = []dynet.EdgeOp{{U: 0, V: 1}, {U: 2, V: 3}, {U: 4, V: 5}}
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := base
-			s.Base = append([]Op(nil), base.Base...)
-			s.Diffs = append([][]Op(nil), base.Diffs...)
+			s.Base = append([]dynet.EdgeOp(nil), base.Base...)
+			s.Diffs = append([][]dynet.EdgeOp(nil), base.Diffs...)
 			tc.warp(&s)
 			if err := s.Validate(); err == nil {
 				t.Fatalf("Validate accepted a %s schedule", tc.name)
@@ -155,7 +155,7 @@ func TestMutatePreservesInvariants(t *testing.T) {
 		if err := m.Validate(); err != nil {
 			t.Fatalf("mutation %d produced invalid schedule: %v", k, err)
 		}
-		if got := FromGraphs(m.Graphs()); !reflect.DeepEqual(m, got) {
+		if got := dynet.FromGraphs(m.Graphs()); !reflect.DeepEqual(m, got) {
 			t.Fatalf("mutation %d produced non-canonical schedule", k)
 		}
 		s = m
@@ -175,7 +175,7 @@ func TestMutateFallsBackToFirstAbsentPair(t *testing.T) {
 	path.AddEdge(0, 1)
 	path.AddEdge(1, 2)
 	path.AddEdge(2, 3)
-	s := FromGraphs([]*graph.Graph{path, path.Clone()})
+	s := dynet.FromGraphs([]*graph.Graph{path, path.Clone()})
 	src := rng.New(2)
 	m, ok := mutate(s, src)
 	if !ok {
@@ -183,15 +183,15 @@ func TestMutateFallsBackToFirstAbsentPair(t *testing.T) {
 	}
 	want := s.Graphs()
 	want[src.Split(8).Intn(len(want))].AddEdge(0, 2)
-	if !reflect.DeepEqual(m, FromGraphs(want)) {
-		t.Fatalf("mutate = %+v, want %+v", m, FromGraphs(want))
+	if !reflect.DeepEqual(m, dynet.FromGraphs(want)) {
+		t.Fatalf("mutate = %+v, want %+v", m, dynet.FromGraphs(want))
 	}
 
 	// Every round of a two-node schedule is complete: no add, delete or
 	// rewire keeps it connected and simple.
 	edge := graph.New(2)
 	edge.AddEdge(0, 1)
-	full := FromGraphs([]*graph.Graph{edge, edge.Clone()})
+	full := dynet.FromGraphs([]*graph.Graph{edge, edge.Clone()})
 	for seed := uint64(0); seed < 16; seed++ {
 		if m, ok := mutate(full, rng.New(seed)); ok {
 			t.Fatalf("seed %d: mutate moved a schedule of complete rounds to %+v", seed, m)

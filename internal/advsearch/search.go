@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"dyndiam/internal/dynet"
 	"dyndiam/internal/graph"
 	"dyndiam/internal/harness"
 	"dyndiam/internal/obs"
@@ -532,7 +533,7 @@ func mutate(s Schedule, src *rng.Source) (Schedule, bool) {
 	if !mutateGraphs(gs, src) {
 		return s, false
 	}
-	return FromGraphs(gs), true
+	return dynet.FromGraphs(gs), true
 }
 
 func mutateGraphs(gs []*graph.Graph, src *rng.Source) bool {
@@ -603,5 +604,5 @@ func crossover(a, b Schedule, src *rng.Source) Schedule {
 	ga, gb := a.Graphs(), b.Graphs()
 	cut := 1 + src.Intn(a.Rounds-1)
 	child := append(ga[:cut:cut], gb[cut:]...)
-	return FromGraphs(child)
+	return dynet.FromGraphs(child)
 }

@@ -12,8 +12,8 @@ type Adversary interface {
 	// CheckConnectivity is set. The engine treats the result as read-only
 	// for the duration of the round, and adversaries may reuse the same
 	// Graph value across calls: the result is only valid until the next
-	// Topology call. Callers that keep topologies across rounds (e.g. a
-	// Trace with KeepTopologies) must Clone them.
+	// Topology call. Callers that keep topologies across rounds must copy
+	// them (a Trace with KeepTopologies diffs each against its own copy).
 	Topology(r int, actions []Action) *graph.Graph
 }
 

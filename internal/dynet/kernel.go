@@ -189,7 +189,7 @@ func (k *kernel) round(r int) (bool, error) {
 	}
 
 	if e.Trace != nil {
-		e.Trace.record(r, g, rd.Actions, rd.Outgoing) //lint:allow hotpathalloc tracing is opt-in; the Cloner amortizes via arenas
+		e.Trace.record(r, g, rd.Actions, rd.Outgoing) //lint:allow hotpathalloc tracing is opt-in; a kept topology costs one diff per round
 	}
 	if sink != nil {
 		for v, dec := range k.decided {

@@ -151,43 +151,3 @@ func TestEngineRunWithRingAllocsDoNotScaleWithRounds(t *testing.T) {
 		t.Fatalf("observed Run allocations scale with rounds: %v allocs at 20 rounds, %v at 200", short, long)
 	}
 }
-
-// TestTraceResetInvalidatesSnapshots is the regression test for the
-// documented aliasing contract: snapshots are carved from the Trace's
-// pooled arena, so Reset lets later recordings overwrite earlier
-// topologies, and Graph.Clone is the way to retain one.
-func TestTraceResetInvalidatesSnapshots(t *testing.T) {
-	const n = 8
-	record := func(tr *Trace, g *graph.Graph) {
-		actions := make([]Action, n)
-		outgoing := make([]Message, n)
-		tr.record(1, g, actions, outgoing)
-	}
-
-	tr := &Trace{KeepTopologies: true}
-	line := graph.Line(n)
-	record(tr, line)
-	snapshot := tr.Topologies()[0]
-	kept := snapshot.Clone() // deep copy: survives the Reset below
-	if !reflect.DeepEqual(snapshot.Adj(0), line.Adj(0)) {
-		t.Fatal("snapshot does not match the recorded graph")
-	}
-
-	tr.Reset()
-	if len(tr.Stats) != 0 {
-		t.Fatal("Reset did not clear stats")
-	}
-	record(tr, graph.Star(n))
-
-	// The pre-Reset snapshot aliases the rewound arena: its storage now
-	// holds the star's adjacency, not the line's.
-	if reflect.DeepEqual(snapshot.Adj(0), line.Adj(0)) {
-		t.Fatal("pre-Reset snapshot still reads as the old graph; the aliasing contract (and this pin) are stale")
-	}
-	// The deep copy is unaffected.
-	for v := 0; v < n; v++ {
-		if !reflect.DeepEqual(kept.Adj(v), line.Adj(v)) {
-			t.Fatalf("cloned snapshot changed at node %d", v)
-		}
-	}
-}

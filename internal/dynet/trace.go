@@ -4,32 +4,27 @@ import "dyndiam/internal/graph"
 
 // RoundStats aggregates what happened in one round.
 type RoundStats struct {
-	Round    int
-	Senders  int
-	Bits     int
-	Edges    int
-	Topology *graph.Graph // nil unless the trace keeps topologies
+	Round   int
+	Senders int
+	Bits    int
+	Edges   int
 }
 
-// Trace records an execution round by round. Keeping topologies costs
-// O(rounds * edges) memory; enable it only when the dynamic diameter or the
-// reduction referee needs them. Snapshots are carved from a pooled arena
-// (graph.Cloner), so recording thousands of rounds costs amortized one
-// allocation per snapshot rather than one per vertex.
-//
-// Aliasing contract: recorded topologies share the Trace's arena. They stay
-// valid for the lifetime of the recording — across Run and after it — but
-// Reset rewinds the arena, and any snapshot taken before the Reset will be
-// silently overwritten by snapshots recorded after it. A caller that wants
-// to keep topologies past a Trace reuse must deep-copy them first with
-// Graph.Clone. TestTraceResetInvalidatesSnapshots pins this contract.
+// Trace records an execution round by round. With KeepTopologies it also
+// records the delivered topology sequence as a Schedule, one diff per
+// round, so its memory grows with the churn rather than with
+// rounds * edges.
 type Trace struct {
-	// KeepTopologies stores a clone of every round's graph.
+	// KeepTopologies records every round's delivered graph into Schedule.
 	KeepTopologies bool
 
 	Stats []RoundStats
+	// Schedule is the recorded topology sequence: its round r is the
+	// graph delivered in Stats[r-1]'s round.
+	Schedule Schedule
 
-	cloner graph.Cloner
+	prev *graph.Graph // the last recorded round
+	diff EdgeDiff
 }
 
 func (t *Trace) record(r int, g *graph.Graph, actions []Action, outgoing []Message) {
@@ -41,32 +36,21 @@ func (t *Trace) record(r int, g *graph.Graph, actions []Action, outgoing []Messa
 		}
 	}
 	if t.KeepTopologies {
-		st.Topology = t.cloner.Clone(g)
+		if t.prev == nil {
+			t.prev = graph.New(g.N())
+		}
+		t.Schedule.appendRound(t.prev, g, &t.diff)
+		t.prev.CopyFrom(g)
 	}
 	t.Stats = append(t.Stats, st)
 }
 
-// Reset clears the trace for reuse by a fresh execution, keeping the stats
-// slice and the snapshot arena. Topologies returned before the Reset alias
-// the arena and are invalidated by it (see the type's aliasing contract).
-func (t *Trace) Reset() {
-	for i := range t.Stats {
-		t.Stats[i].Topology = nil
-	}
-	t.Stats = t.Stats[:0]
-	t.cloner.Reset()
-}
-
-// Topologies returns the recorded per-round graphs (round 1 first). It
-// panics if KeepTopologies was not set.
+// Topologies returns the recorded per-round graphs (round 1 first), each
+// freshly built from Schedule. It panics if KeepTopologies was not set.
 func (t *Trace) Topologies() []*graph.Graph {
-	out := make([]*graph.Graph, len(t.Stats))
-	for i, st := range t.Stats {
-		if st.Topology == nil {
-			//lint:allow panicfree documented API contract: Topologies requires KeepTopologies; misuse is a caller bug
-			panic("dynet: trace did not keep topologies")
-		}
-		out[i] = st.Topology
+	if !t.KeepTopologies {
+		//lint:allow panicfree documented API contract: Topologies requires KeepTopologies; misuse is a caller bug
+		panic("dynet: trace did not keep topologies")
 	}
-	return out
+	return t.Schedule.Graphs()
 }

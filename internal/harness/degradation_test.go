@@ -45,7 +45,9 @@ func TestDegradationParallelEqualsSequential(t *testing.T) {
 		Specs: []faults.Spec{{}, {Drop: 0.3}, {Crash: 0.05}},
 	}
 	run := func(workers int) []DegradationRow {
-		rows, err := Sweep{Workers: workers}.Degradation("leader", cfg)
+		// Crash faults stall some leader trials until the budget; 20000
+		// rounds is far beyond a clean N=12 election.
+		rows, err := Sweep{Workers: workers, Budget: 20000}.Degradation("leader", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +157,8 @@ func TestCrashRejoinGridParallelDeterminism(t *testing.T) {
 	}
 	for _, problem := range []string{"leader", "cflood"} {
 		run := func(workers int) ([]DegradationRow, [][]failure) {
-			rows, err := Sweep{Workers: workers}.Degradation(problem, cfg)
+			// Crash faults stall some leader trials until the budget.
+			rows, err := Sweep{Workers: workers, Budget: 20000}.Degradation(problem, cfg)
 			if err != nil {
 				t.Fatalf("%s at %d workers: %v", problem, workers, err)
 			}
@@ -288,5 +291,26 @@ func TestFormatDegradationTable(t *testing.T) {
 	tbl := FormatDegradationTable("leader", rows)
 	if len(tbl.Rows) != 2 {
 		t.Fatalf("table rows = %d", len(tbl.Rows))
+	}
+}
+
+// TestLeaderCrashesDoNotPanic: a node that is down at its COUNT1
+// transition builds no sketch and must not read one at LOCK. Crash
+// faults at rate 0.2 hit that path; every failed trial is a fault-induced
+// error or a non-termination, never a panic.
+func TestLeaderCrashesDoNotPanic(t *testing.T) {
+	rows, err := Sweep{Budget: 200000}.Degradation("leader", DegradationConfig{
+		N: 14, TargetDiam: 4, Seed: 1, Trials: 4,
+		Specs: []faults.Spec{{Crash: 0.2}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows {
+		for _, cf := range row.CellFailures {
+			if cf.Outcome == CellPanicked {
+				t.Errorf("%s trial %d panicked: %v", row.Label, cf.Cell, cf.Err)
+			}
+		}
 	}
 }

@@ -294,7 +294,9 @@ func (m *machine) transition(r, phase, sub, idx int) {
 			if m.skipStage1 {
 				m.isCandidate = true
 			} else {
-				m.isCandidate = m.sketch1.Estimate(int64(m.cfg.ID)) >= m.tau
+				// A node that was down at its COUNT1 transition has no
+				// sketch: it counted no supporters, so it is no candidate.
+				m.isCandidate = m.sketch1 != nil && m.sketch1.Estimate(int64(m.cfg.ID)) >= m.tau
 			}
 			if m.isCandidate {
 				m.candidacies++

@@ -307,3 +307,18 @@ func TestRunSpecRoundTrip(t *testing.T) {
 		t.Fatal("invalid fault spec accepted")
 	}
 }
+
+// TestDiffComparesKeptTopologies: two traces with equal stats but
+// different recorded topology sequences diverge.
+func TestDiffComparesKeptTopologies(t *testing.T) {
+	kept := func(g *graph.Graph) *RunArtifacts {
+		return &RunArtifacts{Trace: &dynet.Trace{KeepTopologies: true, Schedule: dynet.FromGraphs([]*graph.Graph{g})}}
+	}
+	ring := kept(graph.Ring(5))
+	if err := Diff(ring, kept(graph.Ring(5))); err != nil {
+		t.Fatalf("equal sequences diverge: %v", err)
+	}
+	if err := Diff(ring, kept(graph.Line(5))); err == nil || !strings.Contains(err.Error(), "topology divergence") {
+		t.Fatalf("different sequences: err = %v", err)
+	}
+}

@@ -27,8 +27,8 @@ type RunArtifacts struct {
 }
 
 // NewArtifacts allocates the observation set for one execution: trace
-// (stats only — topology snapshots alias arenas and are not comparable
-// across runs), event ring, and model metric registry.
+// (stats only; Diff also compares the recorded topology sequences of
+// traces that keep them), event ring, and model metric registry.
 func NewArtifacts(ringCap int) (*dynet.Trace, *obs.Ring, *obs.Registry) {
 	return &dynet.Trace{}, obs.NewRing(ringCap), obs.NewRegistry()
 }
@@ -115,6 +115,9 @@ func diffTraces(a, b *dynet.Trace) error {
 		if !reflect.DeepEqual(a.Stats[i], b.Stats[i]) {
 			return fmt.Errorf("wire: trace divergence at round %d:\n  distributed: %+v\n  in-process:  %+v", a.Stats[i].Round, a.Stats[i], b.Stats[i])
 		}
+	}
+	if !reflect.DeepEqual(a.Schedule, b.Schedule) {
+		return fmt.Errorf("wire: recorded topology divergence (kept: distributed=%v, in-process=%v)", a.KeepTopologies, b.KeepTopologies)
 	}
 	return nil
 }
